@@ -18,6 +18,7 @@
 #include "flb/sim/topology.hpp"
 #include "flb/util/error.hpp"
 #include "flb/workloads/paper_example.hpp"
+#include "flb/workloads/workloads.hpp"
 #include "test_support.hpp"
 
 namespace flb {
@@ -110,6 +111,111 @@ TEST(PlatformGolden, FuzzCorpusBitIdentical) {
     EXPECT_EQ(schedule_digest(s), row.digest)
         << "fuzz[" << row.fuzz_index << "] P=" << row.procs << " ("
         << g.name() << ")";
+  }
+}
+
+// Paper-scale goldens: the Fig. 2 families at V~2000 (make_workload, seed
+// 1) x CCR {0.2, 5} x P in {2..32}. The fuzz graphs above are small enough
+// that the EP lists rarely hold more than a few tasks; these runs push
+// thousands of tasks through every heap, so an engine change that reorders
+// even one tie shows up here. Captured from the engine before the heaps
+// stored their keys inline.
+struct PaperScaleGolden {
+  const char* family;
+  double ccr;
+  ProcId procs;
+  double makespan;
+  std::uint64_t digest;
+};
+
+TEST(PlatformGolden, PaperScaleBitIdentical) {
+  static const PaperScaleGolden kTable[] = {
+      {"LU", 0.2, 2, 0x1.0079d5b061a11p+10, 5613661680958476075ull},
+      {"LU", 0.2, 4, 0x1.09487c49715f1p+9, 18291875488150045238ull},
+      {"LU", 0.2, 8, 0x1.226edf7f0397cp+8, 3909562669689757267ull},
+      {"LU", 0.2, 16, 0x1.6944e320007abp+7, 12935920915253967792ull},
+      {"LU", 0.2, 32, 0x1.15ad417cc8702p+7, 1450076823230287348ull},
+      {"LU", 5.0, 2, 0x1.081f995026e7ep+10, 17622877240686917094ull},
+      {"LU", 5.0, 4, 0x1.31b93723b6141p+9, 12327718157597816134ull},
+      {"LU", 5.0, 8, 0x1.c7b6d77791b45p+8, 14050385893462939574ull},
+      {"LU", 5.0, 16, 0x1.ba8d9a7e41716p+8, 11874614950395862192ull},
+      {"LU", 5.0, 32, 0x1.b6508b6cb9ff8p+8, 6401152131649795697ull},
+      {"Laplace", 0.2, 2, 0x1.f1b1f6a91f6edp+9, 13222082807006827590ull},
+      {"Laplace", 0.2, 4, 0x1.fa246af0cd784p+8, 7585485237011782509ull},
+      {"Laplace", 0.2, 8, 0x1.067ce77a851dep+8, 5660036482886501831ull},
+      {"Laplace", 0.2, 16, 0x1.1aae75d7f170ep+7, 1348482724396572685ull},
+      {"Laplace", 0.2, 32, 0x1.44376f6f3b505p+6, 11395411020763281141ull},
+      {"Laplace", 5.0, 2, 0x1.052d8d483335cp+10, 14546160274004283931ull},
+      {"Laplace", 5.0, 4, 0x1.1ad8335ff3f54p+9, 4163971359350645341ull},
+      {"Laplace", 5.0, 8, 0x1.4b4d6f16d40b1p+8, 11608811179225275115ull},
+      {"Laplace", 5.0, 16, 0x1.b1702b3ec4648p+7, 13923266160872130489ull},
+      {"Laplace", 5.0, 32, 0x1.7b8d8e61a9eaap+7, 11868312030641758119ull},
+      {"Stencil", 0.2, 2, 0x1.f0d88c49ca485p+9, 9732843424306005122ull},
+      {"Stencil", 0.2, 4, 0x1.f160befe2b0e7p+8, 9518343162115985729ull},
+      {"Stencil", 0.2, 8, 0x1.f16d3c3cbbceep+7, 7463027454979502919ull},
+      {"Stencil", 0.2, 16, 0x1.f576061f279a6p+6, 6946351245274191512ull},
+      {"Stencil", 0.2, 32, 0x1.2b238ae9a326p+6, 6746569970928988142ull},
+      {"Stencil", 5.0, 2, 0x1.f0e8bb187815bp+9, 6577371244449244566ull},
+      {"Stencil", 5.0, 4, 0x1.f253b212b5fc6p+8, 6060201349908450839ull},
+      {"Stencil", 5.0, 8, 0x1.2baeec8ca7e19p+8, 12560956938145817588ull},
+      {"Stencil", 5.0, 16, 0x1.0fe7e5711ebb5p+8, 12426230409236699859ull},
+      {"Stencil", 5.0, 32, 0x1.ff3c20b9d09c5p+7, 1478383758385072519ull},
+  };
+  for (const PaperScaleGolden& row : kTable) {
+    WorkloadParams params;
+    params.ccr = row.ccr;
+    TaskGraph g = make_workload(row.family, 2000, params);
+    FlbScheduler flb;
+    Schedule s = flb.run(g, row.procs);
+    EXPECT_EQ(s.makespan(), row.makespan)
+        << row.family << " CCR=" << row.ccr << " P=" << row.procs;
+    EXPECT_EQ(schedule_digest(s), row.digest)
+        << row.family << " CCR=" << row.ccr << " P=" << row.procs;
+  }
+}
+
+// The engine's own counters on the same graphs at P=8. These pin the path
+// a schedule took, not only where it ended: a heap change that classified
+// or demoted a task differently but happened to land on the same
+// placement would still move them.
+struct StatsGolden {
+  const char* family;
+  double ccr;
+  std::size_t classified_ep;
+  std::size_t ep_demotions;
+  std::size_t ep_selections;
+  std::size_t non_ep_selections;
+  std::size_t max_ready;
+};
+
+TEST(PlatformGolden, PaperScaleFlbStats) {
+  static const StatsGolden kTable[] = {
+      {"LU", 0.2, 2013, 1920, 93, 1922, 62},
+      {"LU", 5.0, 2014, 1074, 940, 1075, 62},
+      {"Laplace", 0.2, 1774, 1755, 19, 1951, 196},
+      {"Laplace", 5.0, 1774, 1751, 23, 1947, 196},
+      {"Stencil", 0.2, 1932, 1932, 0, 1980, 45},
+      {"Stencil", 5.0, 1933, 353, 1580, 400, 45},
+  };
+  for (const StatsGolden& row : kTable) {
+    WorkloadParams params;
+    params.ccr = row.ccr;
+    TaskGraph g = make_workload(row.family, 2000, params);
+    FlbScheduler flb;
+    FlbStats stats;
+    Schedule s = flb.run_instrumented(g, 8, nullptr, &stats);
+    EXPECT_TRUE(s.complete());
+    EXPECT_EQ(stats.iterations, g.num_tasks());
+    EXPECT_EQ(stats.tasks_classified_ep, row.classified_ep)
+        << row.family << " CCR=" << row.ccr;
+    EXPECT_EQ(stats.ep_demotions, row.ep_demotions)
+        << row.family << " CCR=" << row.ccr;
+    EXPECT_EQ(stats.ep_selections, row.ep_selections)
+        << row.family << " CCR=" << row.ccr;
+    EXPECT_EQ(stats.non_ep_selections, row.non_ep_selections)
+        << row.family << " CCR=" << row.ccr;
+    EXPECT_EQ(stats.max_ready, row.max_ready)
+        << row.family << " CCR=" << row.ccr;
   }
 }
 
