@@ -31,6 +31,13 @@ using core::TaskKey;
 /// (tests/flb_alloc_test.cpp asserts it); heap keys embed the task id as the
 /// final tie-break, so schedules are bit-identical to the pre-scratch engine
 /// (the golden digests in tests/platform_test.cpp pin this).
+///
+/// The per-step cost is heap traffic: on the Fig. 2 mix most tasks are
+/// classified EP and later demoted, about nine heap operations each, so
+/// the heaps keep each key inline next to its id (one load per comparison)
+/// and a selected processor's active-list key is updated in place by
+/// update_proc_lists. Every start is at or after PRT(p), so each
+/// Schedule::assign takes its append path.
 class Engine {
  public:
   /// Schedule the unplaced tasks of `sched` (empty for a fresh run, a kept
@@ -242,7 +249,6 @@ class Engine {
     --ready_count_;
     if (choose_ep) {
       ++stats_.ep_selections;
-      s_.active_procs.erase(p);  // re-inserted by update_proc_lists if needed
       s_.emt_ep_heap.erase(t);
       s_.lmt_ep_heap.erase(t);
     } else {
@@ -364,8 +370,8 @@ class Engine {
     step.ep_type = ep_type;
     step.ep_lists.resize(num_procs_);
     for (ProcId q = 0; q < num_procs_; ++q) {
-      for (std::size_t id : s_.emt_ep_heap.items(q))
-        step.ep_lists[q].push_back(static_cast<TaskId>(id));
+      for (const auto& node : s_.emt_ep_heap.items(q))
+        step.ep_lists[q].push_back(static_cast<TaskId>(node.id));
       std::sort(step.ep_lists[q].begin(), step.ep_lists[q].end(),
                 [&](TaskId a, TaskId b) {
                   return s_.emt_ep_heap.key_of(a) < s_.emt_ep_heap.key_of(b);
@@ -374,8 +380,8 @@ class Engine {
                               step.ep_lists[q].begin(),
                               step.ep_lists[q].end());
     }
-    for (std::size_t id : s_.non_ep.items())
-      step.non_ep_list.push_back(static_cast<TaskId>(id));
+    for (const auto& node : s_.non_ep.items())
+      step.non_ep_list.push_back(static_cast<TaskId>(node.id));
     std::sort(step.non_ep_list.begin(), step.non_ep_list.end(),
               [&](TaskId a, TaskId b) {
                 return s_.non_ep.key_of(a) < s_.non_ep.key_of(b);

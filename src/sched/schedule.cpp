@@ -43,12 +43,17 @@ void Schedule::assign(TaskId t, ProcId p, Cost start, Cost finish) {
   // always a feasible execution order (the machine simulator replays it).
   const bool positive = finish > start;
   auto key = std::pair<Cost, bool>(start, positive);
-  auto it = std::upper_bound(
-      timeline.begin(), timeline.end(), key,
-      [&](const std::pair<Cost, bool>& k, TaskId other) {
-        const Placement& pl = placements_[other];
-        return k < std::pair<Cost, bool>(pl.start, pl.finish > pl.start);
-      });
+  auto before = [&](const std::pair<Cost, bool>& k, TaskId other) {
+    const Placement& pl = placements_[other];
+    return k < std::pair<Cost, bool>(pl.start, pl.finish > pl.start);
+  };
+  // Append fast path: list schedulers that never fill gaps (FLB starts
+  // every task at or after PRT(p)) land at the end, where upper_bound
+  // would also put a key that does not sort before the last task.
+  auto it = timeline.empty() || !before(key, timeline.back())
+                ? timeline.end()
+                : std::upper_bound(timeline.begin(), timeline.end(), key,
+                                   before);
   // Two executions conflict only when they share positive measure, so
   // zero-duration tasks (legal for zero-cost graph nodes) never overlap
   // anything and are skipped when locating the binding neighbours.

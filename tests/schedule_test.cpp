@@ -1,5 +1,8 @@
 #include "flb/sched/schedule.hpp"
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "flb/sched/machine.hpp"
@@ -111,6 +114,80 @@ TEST(Schedule, InsertRejectsOverlapWithEitherNeighbour) {
   EXPECT_THROW(s.assign(2, 0, 1.0, 3.0), Error);  // clips task 0
   EXPECT_THROW(s.assign(2, 0, 4.0, 6.0), Error);  // clips task 1
   s.assign(2, 0, 2.0, 4.0);                        // exact fit is fine
+}
+
+// --- Append fast path ------------------------------------------------------
+//
+// assign() compares the new (start, duration > 0) key with the timeline's
+// last task and appends without a binary search when it does not sort
+// before it. These pin that the shortcut lands exactly where the search
+// would and keeps every overlap check.
+
+TEST(Schedule, ZeroDurationAtLastStartSortsBeforeIt) {
+  Schedule s(1, 4);
+  s.assign(0, 0, 0.0, 2.0);
+  s.assign(1, 0, 2.0, 5.0);
+  s.assign(2, 0, 2.0, 2.0);  // coincides with task 1's start
+  s.assign(3, 0, 5.0, 5.0);  // at task 1's finish: a true append
+  auto tasks = s.tasks_on(0);
+  ASSERT_EQ(tasks.size(), 4u);
+  EXPECT_EQ(tasks[0], 0u);
+  EXPECT_EQ(tasks[1], 2u);
+  EXPECT_EQ(tasks[2], 1u);
+  EXPECT_EQ(tasks[3], 3u);
+}
+
+TEST(Schedule, EqualKeysAppendAfterExistingTask) {
+  Schedule s(1, 3);
+  s.assign(0, 0, 1.0, 1.0);
+  s.assign(1, 0, 1.0, 1.0);  // same (start, zero-duration) key
+  s.assign(2, 0, 1.0, 3.0);
+  auto tasks = s.tasks_on(0);
+  ASSERT_EQ(tasks.size(), 3u);
+  EXPECT_EQ(tasks[0], 0u);
+  EXPECT_EQ(tasks[1], 1u);
+  EXPECT_EQ(tasks[2], 2u);
+}
+
+std::string assign_error(Schedule& s, TaskId t, ProcId p, Cost start,
+                         Cost finish) {
+  try {
+    s.assign(t, p, start, finish);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Schedule, OverlappingAppendNamesBothTasks) {
+  Schedule s(2, 4);
+  s.assign(0, 1, 0.0, 4.0);
+  s.assign(2, 1, 3.5, 3.5);  // zero-duration: skipped by the overlap scan
+  const std::string msg = assign_error(s, 1, 1, 3.8, 6.0);
+  EXPECT_NE(msg.find("task 1 would overlap task 0"), std::string::npos)
+      << msg;
+  EXPECT_NE(msg.find("processor 1"), std::string::npos) << msg;
+  EXPECT_FALSE(s.is_scheduled(1));
+  ASSERT_EQ(s.tasks_on(1).size(), 2u);
+  s.assign(1, 1, 4.0, 6.0);  // touching the end is not an overlap
+  EXPECT_EQ(s.tasks_on(1).back(), 1u);
+}
+
+TEST(Schedule, EarlierStartTakesBinarySearchAndLandsInOrder) {
+  Schedule s(1, 6);
+  s.assign(0, 0, 4.0, 5.0);
+  s.assign(1, 0, 0.0, 1.0);  // before the only task
+  s.assign(2, 0, 2.0, 3.0);  // between tasks 1 and 0
+  s.assign(3, 0, 6.0, 7.0);  // append
+  s.assign(4, 0, 5.0, 6.0);  // fills [5, 6) exactly, before the last task
+  auto tasks = s.tasks_on(0);
+  const std::vector<TaskId> expected = {1, 2, 0, 4, 3};
+  EXPECT_EQ(std::vector<TaskId>(tasks.begin(), tasks.end()), expected);
+  EXPECT_DOUBLE_EQ(s.proc_ready_time(0), 7.0);
+  // A mid-timeline overlap is still caught on the search path.
+  const std::string msg = assign_error(s, 5, 0, 2.5, 3.5);
+  EXPECT_NE(msg.find("task 5 would overlap task 2"), std::string::npos)
+      << msg;
 }
 
 TEST(Schedule, EarliestGapScansHoles) {
