@@ -25,6 +25,7 @@ bool next_line(std::istream& is, std::string& line) {
 }  // namespace
 
 TaskGraph read_stg(std::istream& is, const WorkloadParams& params) {
+  require_valid_params(params, "read_stg");
   std::string line;
   FLB_REQUIRE(next_line(is, line), "read_stg: empty input");
   std::size_t n = 0;

@@ -33,6 +33,12 @@ struct WorkloadParams {
   bool random_weights = true;  ///< false => comp = 1 and comm = ccr exactly
 };
 
+/// Throws flb::Error unless `params.ccr` is finite and non-negative. The
+/// message starts with `who` and quotes the bad value, e.g.
+/// "make_workload: ccr must be finite and non-negative, got nan". Every
+/// generator, make_workload and read_stg call it before drawing a weight.
+void require_valid_params(const WorkloadParams& params, const char* who);
+
 // --- The paper's application workloads ------------------------------------
 
 /// LU decomposition of an n x n matrix (column-oriented, no pivot search

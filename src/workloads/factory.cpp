@@ -1,5 +1,6 @@
 #include <cmath>
 #include <cstddef>
+#include <sstream>
 
 #include "flb/util/error.hpp"
 #include "flb/util/rng.hpp"
@@ -21,6 +22,13 @@ std::size_t matrix_dim_for(std::size_t target) {
 }
 
 }  // namespace
+
+void require_valid_params(const WorkloadParams& params, const char* who) {
+  if (std::isfinite(params.ccr) && params.ccr >= 0.0) return;
+  std::ostringstream msg;
+  msg << who << ": ccr must be finite and non-negative, got " << params.ccr;
+  FLB_REQUIRE(false, msg.str());
+}
 
 TaskGraph perturb_weights(const TaskGraph& g, double spread,
                           std::uint64_t seed) {
@@ -44,6 +52,7 @@ std::vector<std::string> workload_names() {
 TaskGraph make_workload(const std::string& name, std::size_t target_tasks,
                         const WorkloadParams& params) {
   FLB_REQUIRE(target_tasks >= 8, "make_workload: target_tasks too small");
+  require_valid_params(params, "make_workload");
   if (name == "LU") {
     return lu_graph(matrix_dim_for(target_tasks), params);
   }

@@ -15,7 +15,7 @@ namespace flb {
 
 TaskGraph lu_graph(std::size_t n, const WorkloadParams& params) {
   FLB_REQUIRE(n >= 2, "lu_graph: matrix dimension must be at least 2");
-  detail::WeightDrawer w(params);
+  detail::WeightDrawer w(params, "lu_graph");
   TaskGraphBuilder b;
   b.set_name("LU(n=" + std::to_string(n) + ")");
 
@@ -48,7 +48,7 @@ TaskGraph laplace_graph(std::size_t m, std::size_t iters,
                         const WorkloadParams& params) {
   FLB_REQUIRE(m >= 2, "laplace_graph: grid side must be at least 2");
   FLB_REQUIRE(iters >= 1, "laplace_graph: at least one iteration required");
-  detail::WeightDrawer w(params);
+  detail::WeightDrawer w(params, "laplace_graph");
   TaskGraphBuilder b;
   b.set_name("Laplace(m=" + std::to_string(m) +
              ",iters=" + std::to_string(iters) + ")");
@@ -90,7 +90,7 @@ TaskGraph stencil_graph(std::size_t width, std::size_t steps,
                         const WorkloadParams& params) {
   FLB_REQUIRE(width >= 1, "stencil_graph: width must be positive");
   FLB_REQUIRE(steps >= 1, "stencil_graph: steps must be positive");
-  detail::WeightDrawer w(params);
+  detail::WeightDrawer w(params, "stencil_graph");
   TaskGraphBuilder b;
   b.set_name("Stencil(w=" + std::to_string(width) +
              ",steps=" + std::to_string(steps) + ")");
@@ -114,7 +114,7 @@ TaskGraph stencil_graph(std::size_t width, std::size_t steps,
 TaskGraph fft_graph(std::size_t points, const WorkloadParams& params) {
   FLB_REQUIRE(points >= 2 && (points & (points - 1)) == 0,
               "fft_graph: points must be a power of two >= 2");
-  detail::WeightDrawer w(params);
+  detail::WeightDrawer w(params, "fft_graph");
   TaskGraphBuilder b;
   b.set_name("FFT(points=" + std::to_string(points) + ")");
 
@@ -139,7 +139,7 @@ TaskGraph fft_graph(std::size_t points, const WorkloadParams& params) {
 
 TaskGraph cholesky_graph(std::size_t tiles, const WorkloadParams& params) {
   FLB_REQUIRE(tiles >= 1, "cholesky_graph: at least one tile required");
-  detail::WeightDrawer w(params);
+  detail::WeightDrawer w(params, "cholesky_graph");
   TaskGraphBuilder b;
   b.set_name("Cholesky(T=" + std::to_string(tiles) + ")");
 
@@ -191,7 +191,7 @@ TaskGraph cholesky_graph(std::size_t tiles, const WorkloadParams& params) {
 
 TaskGraph gauss_graph(std::size_t n, const WorkloadParams& params) {
   FLB_REQUIRE(n >= 2, "gauss_graph: matrix dimension must be at least 2");
-  detail::WeightDrawer w(params);
+  detail::WeightDrawer w(params, "gauss_graph");
   TaskGraphBuilder b;
   b.set_name("Gauss(n=" + std::to_string(n) + ")");
 

@@ -19,7 +19,7 @@ TaskGraph random_layered_graph(std::size_t layers, std::size_t width,
   FLB_REQUIRE(width >= 1, "random_layered_graph: width must be positive");
   FLB_REQUIRE(edge_prob >= 0.0 && edge_prob <= 1.0,
               "random_layered_graph: edge_prob must be in [0, 1]");
-  detail::WeightDrawer w(params);
+  detail::WeightDrawer w(params, "random_layered_graph");
   TaskGraphBuilder b;
   b.set_name("RandomLayered(l=" + std::to_string(layers) +
              ",w=" + std::to_string(width) + ")");
@@ -54,7 +54,7 @@ TaskGraph random_dag(std::size_t tasks, double edge_prob,
   FLB_REQUIRE(tasks >= 1, "random_dag: tasks must be positive");
   FLB_REQUIRE(edge_prob >= 0.0 && edge_prob <= 1.0,
               "random_dag: edge_prob must be in [0, 1]");
-  detail::WeightDrawer w(params);
+  detail::WeightDrawer w(params, "random_dag");
   TaskGraphBuilder b;
   b.set_name("RandomDag(v=" + std::to_string(tasks) + ")");
 
@@ -73,7 +73,7 @@ TaskGraph series_parallel_graph(std::size_t target_tasks,
               "series_parallel_graph: at least two tasks required");
   FLB_REQUIRE(parallel_prob >= 0.0 && parallel_prob <= 1.0,
               "series_parallel_graph: parallel_prob must be in [0, 1]");
-  detail::WeightDrawer w(params);
+  detail::WeightDrawer w(params, "series_parallel_graph");
   Rng& rng = w.rng();
 
   // Grow the edge set: every operation consumes one random edge and adds
@@ -107,7 +107,7 @@ TaskGraph out_tree_graph(std::size_t depth, std::size_t fanout,
                          const WorkloadParams& params) {
   FLB_REQUIRE(depth >= 1, "out_tree_graph: depth must be positive");
   FLB_REQUIRE(fanout >= 1, "out_tree_graph: fanout must be positive");
-  detail::WeightDrawer w(params);
+  detail::WeightDrawer w(params, "out_tree_graph");
   TaskGraphBuilder b;
   b.set_name("OutTree(d=" + std::to_string(depth) +
              ",f=" + std::to_string(fanout) + ")");
@@ -138,7 +138,7 @@ TaskGraph in_tree_graph(std::size_t depth, std::size_t fanout,
                         const WorkloadParams& params) {
   FLB_REQUIRE(depth >= 1, "in_tree_graph: depth must be positive");
   FLB_REQUIRE(fanout >= 1, "in_tree_graph: fanout must be positive");
-  detail::WeightDrawer w(params);
+  detail::WeightDrawer w(params, "in_tree_graph");
   TaskGraphBuilder b;
   b.set_name("InTree(d=" + std::to_string(depth) +
              ",f=" + std::to_string(fanout) + ")");
@@ -167,7 +167,7 @@ TaskGraph fork_join_graph(std::size_t stages, std::size_t width,
                           const WorkloadParams& params) {
   FLB_REQUIRE(stages >= 1, "fork_join_graph: stages must be positive");
   FLB_REQUIRE(width >= 1, "fork_join_graph: width must be positive");
-  detail::WeightDrawer w(params);
+  detail::WeightDrawer w(params, "fork_join_graph");
   TaskGraphBuilder b;
   b.set_name("ForkJoin(stages=" + std::to_string(stages) +
              ",w=" + std::to_string(width) + ")");
@@ -190,7 +190,7 @@ TaskGraph fork_join_graph(std::size_t stages, std::size_t width,
 
 TaskGraph diamond_graph(std::size_t side, const WorkloadParams& params) {
   FLB_REQUIRE(side >= 1, "diamond_graph: side must be positive");
-  detail::WeightDrawer w(params);
+  detail::WeightDrawer w(params, "diamond_graph");
   TaskGraphBuilder b;
   b.set_name("Diamond(side=" + std::to_string(side) + ")");
 
@@ -209,7 +209,7 @@ TaskGraph diamond_graph(std::size_t side, const WorkloadParams& params) {
 
 TaskGraph chain_graph(std::size_t length, const WorkloadParams& params) {
   FLB_REQUIRE(length >= 1, "chain_graph: length must be positive");
-  detail::WeightDrawer w(params);
+  detail::WeightDrawer w(params, "chain_graph");
   TaskGraphBuilder b;
   b.set_name("Chain(len=" + std::to_string(length) + ")");
   for (std::size_t i = 0; i < length; ++i) b.add_task(w.comp());
@@ -220,7 +220,7 @@ TaskGraph chain_graph(std::size_t length, const WorkloadParams& params) {
 
 TaskGraph independent_graph(std::size_t count, const WorkloadParams& params) {
   FLB_REQUIRE(count >= 1, "independent_graph: count must be positive");
-  detail::WeightDrawer w(params);
+  detail::WeightDrawer w(params, "independent_graph");
   TaskGraphBuilder b;
   b.set_name("Independent(v=" + std::to_string(count) + ")");
   for (std::size_t i = 0; i < count; ++i) b.add_task(w.comp());

@@ -12,8 +12,11 @@ namespace flb::detail {
 
 class WeightDrawer {
  public:
-  explicit WeightDrawer(const WorkloadParams& params)
-      : params_(params), rng_(params.seed) {}
+  /// `who` names the generator in the error a bad CCR raises.
+  WeightDrawer(const WorkloadParams& params, const char* who)
+      : params_(params), rng_(params.seed) {
+    require_valid_params(params, who);
+  }
 
   Cost comp() {
     return params_.random_weights ? draw_weight(rng_, 1.0) : 1.0;

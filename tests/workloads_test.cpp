@@ -2,13 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <limits>
 #include <string>
 #include <tuple>
+#include <utility>
 
 #include <gtest/gtest.h>
 
 #include "flb/graph/properties.hpp"
 #include "flb/graph/serialize.hpp"
+#include "flb/graph/stg.hpp"
 #include "flb/util/error.hpp"
 
 namespace flb {
@@ -354,6 +358,58 @@ TEST(Weights, CompMeanNearOne) {
   TaskGraph g = stencil_graph(45, 44, p);
   double mean = g.total_comp() / g.num_tasks();
   EXPECT_NEAR(mean, 1.0, 0.05);
+}
+
+// A bad CCR is reported as a bad CCR, naming the entry point and the value,
+// whether or not the weights are drawn (deterministic mode used to pass a
+// NaN straight into the edge weights).
+TEST(Weights, RejectsNonFiniteOrNegativeCcr) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Row {
+    double ccr;
+    const char* shown;
+  };
+  const Row rows[] = {{nan, "got nan"}, {-1.0, "got -1"}, {inf, "got inf"},
+                      {-inf, "got -inf"}, {-1e-9, "got -1e-09"}};
+  const std::pair<const char*, std::function<TaskGraph(const WorkloadParams&)>>
+      entries[] = {
+          {"make_workload",
+           [](const WorkloadParams& p) { return make_workload("LU", 50, p); }},
+          {"lu_graph", [](const WorkloadParams& p) { return lu_graph(5, p); }},
+          {"stencil_graph",
+           [](const WorkloadParams& p) { return stencil_graph(3, 3, p); }},
+          {"random_dag",
+           [](const WorkloadParams& p) { return random_dag(10, 0.3, p); }},
+          {"chain_graph",
+           [](const WorkloadParams& p) { return chain_graph(4, p); }},
+          {"read_stg", [](const WorkloadParams& p) {
+             return stg_from_text("2\n0 0 0\n1 1 1 0\n2 1 1 1\n3 0 1 2\n",
+                                  p);
+           }},
+      };
+  for (const Row& row : rows)
+    for (bool random : {true, false})
+      for (const auto& [who, make] : entries) {
+        WorkloadParams p;
+        p.ccr = row.ccr;
+        p.random_weights = random;
+        std::string msg;
+        try {
+          (void)make(p);
+        } catch (const Error& e) {
+          msg = e.what();
+        }
+        const std::string want =
+            std::string(who) + ": ccr must be finite and non-negative, " +
+            row.shown;
+        EXPECT_NE(msg.find(want), std::string::npos)
+            << who << " random=" << random << " got: " << msg;
+      }
+  // The boundary is allowed: CCR 0 means free communication.
+  WorkloadParams zero;
+  zero.ccr = 0.0;
+  EXPECT_EQ(make_workload("Stencil", 50, zero).total_comm(), 0.0);
 }
 
 // --- Factory ----------------------------------------------------------------------
