@@ -6,8 +6,8 @@
 #include <vector>
 
 #include "flb/graph/properties.hpp"
+#include "flb/util/dary_heap.hpp"
 #include "flb/util/error.hpp"
-#include "flb/util/indexed_heap.hpp"
 
 namespace flb {
 
@@ -19,10 +19,13 @@ Schedule FcpScheduler::run(const TaskGraph& g, ProcId num_procs) {
 
   // Ready tasks by descending static priority (bottom level).
   using TaskKey = std::tuple<Cost, TaskId>;  // (-bottom level, id)
-  IndexedMinHeap<TaskKey> ready(n);
+  Arena arena;
+  DaryIndexedHeap<TaskKey> ready;
+  ready.bind(arena, n);
   // Processors by ascending ready time.
   using ProcKey = std::pair<Cost, ProcId>;
-  IndexedMinHeap<ProcKey> procs(num_procs);
+  DaryIndexedHeap<ProcKey> procs;
+  procs.bind(arena, num_procs);
   for (ProcId p = 0; p < num_procs; ++p) procs.push(p, {0.0, p});
 
   std::vector<std::size_t> unscheduled_preds(n);

@@ -7,9 +7,8 @@
 
 #include "flb/graph/properties.hpp"
 #include "flb/sched/tentative.hpp"
+#include "flb/util/dary_heap.hpp"
 #include "flb/util/error.hpp"
-#include "flb/util/heap_forest.hpp"
-#include "flb/util/indexed_heap.hpp"
 
 namespace flb {
 
@@ -54,11 +53,16 @@ Schedule llb_map(const TaskGraph& g, const Clustering& clustering,
   // Ready tasks whose cluster is mapped, per destination processor. A task
   // is mapped to at most one processor, so one forest of P heaps sharing
   // the task id space suffices (O(V + P) setup).
-  IndexedHeapForest<TaskKey> proc_ready(n, num_procs);
+  Arena arena;
+  DaryHeapForest<TaskKey> proc_ready;
+  proc_ready.reset(arena, n, num_procs);
   // Ready tasks of still-unmapped clusters.
-  IndexedMinHeap<TaskKey> unmapped_ready(n);
+  DaryIndexedHeap<TaskKey> unmapped_ready;
+  unmapped_ready.bind(arena, n);
   // All processors by ready time; processors with non-empty proc_ready.
-  IndexedMinHeap<ProcKey> procs_all(num_procs), procs_with_ready(num_procs);
+  DaryIndexedHeap<ProcKey> procs_all, procs_with_ready;
+  procs_all.bind(arena, num_procs);
+  procs_with_ready.bind(arena, num_procs);
   for (ProcId p = 0; p < num_procs; ++p) procs_all.push(p, {0.0, p});
 
   std::vector<ProcId> cluster_proc(clustering.num_clusters, kInvalidProc);

@@ -9,19 +9,33 @@
 #include "flb/util/error.hpp"
 
 /// \file dary_heap.hpp
-/// Arena-backed indexed d-ary min-heaps — the allocation-free rebuild of
-/// indexed_heap.hpp / heap_forest.hpp for the scheduling-as-a-service hot
-/// path.
+/// The library's one addressable priority queue: an indexed d-ary min-heap
+/// over dense integer ids, and a forest of such heaps over one shared id
+/// space.
 ///
-/// Three differences from the binary originals:
+/// Every "sorted list" in the FLB paper's pseudocode maps onto it: Enqueue /
+/// Dequeue / RemoveItem / BalanceList are push / pop / erase / update, each
+/// O(log n) in the size of the heap; contains, key_of and top are O(1). The
+/// heap tracks each id's position, so an arbitrary item can be removed or
+/// re-keyed: the capability std::priority_queue lacks and the reason FLB
+/// attains its O(V(log W + log P) + E) bound. FLB's engine and every
+/// list-scheduling baseline (MCP, FCP, HLFET, ISH, HEFT, CPOP, DSC, LLB,
+/// Sarkar, DUP and the cluster mappers) keep their lists here.
+///
+/// DaryHeapForest is for lists that partition one id space. FLB's
+/// per-processor EP lists and LLB's per-processor ready lists hold each
+/// task in at most one processor's heap, so position and owning heap are
+/// stored once per id: O(V + P) setup, where P separate heaps would cost
+/// O(V * P).
 ///
 ///  * **Storage is borrowed, not owned.** bind()/reset() carve the node
 ///    array and the position index out of a caller-supplied Arena, so
 ///    re-dimensioning between runs is a bump-pointer rewind instead of
-///    `std::vector` reallocations. The forest's per-heap node arrays are
-///    the one exception (their individual sizes are not known up front);
-///    they are capacity-retaining vectors owned by the forest, which makes
-///    them allocation-free at steady state.
+///    `std::vector` reallocations. A one-shot caller keeps a local Arena
+///    next to its heaps. The forest's per-heap node arrays are the one
+///    exception (their individual sizes are not known up front); they are
+///    capacity-retaining vectors owned by the forest, which makes them
+///    allocation-free at steady state.
 ///  * **Keys sit next to their ids.** Each heap slot is a DaryNode
 ///    `{key, id}`, so a comparison reads the key from the slot it is
 ///    already looking at instead of chasing `keys[heap[i]]` through a
@@ -35,17 +49,17 @@
 ///    real hardware because sift-up (the push/update direction FLB leans
 ///    on) touches half the cache lines.
 ///
-/// The engine's keys stay `std::tuple`/`std::pair`. A hand-written struct
-/// key with its own `operator<` (and the id folded into the node) measured
-/// about 15% slower on the Fig. 2 mix, so the node layout is the only
-/// change to how keys are stored. Each class keeps its own copy of the
-/// sifts: hoisting them into shared free templates made GCC 12 emit one
+/// The keys stay `std::tuple`/`std::pair`. A hand-written struct key with
+/// its own `operator<` (and the id folded into the node) measured about 15%
+/// slower on the Fig. 2 mix. Each class keeps its own copy of the sifts:
+/// hoisting them into shared free templates made GCC 12 emit one
 /// out-of-line copy per key type and cost about 11% on the same mix.
 ///
-/// Selection order is identical to the binary heaps for any totally
-/// ordered key — flb keys embed the id as the final tie-break, so every
-/// top() is unique and schedules stay bit-identical regardless of heap
-/// shape. The golden-digest tests in tests/platform_test.cpp pin this.
+/// Keys must be totally ordered. Every key in the library ends with the
+/// task or processor id as the final tie-break, so every top() is unique
+/// and no schedule depends on the arity or the heap's internal layout. The
+/// golden-digest tests in tests/platform_test.cpp pin this for FLB and for
+/// every baseline.
 
 namespace flb {
 
