@@ -13,7 +13,7 @@ int main(int argc, char** argv) {
   using namespace flb::bench;
   Config cfg = parse_config(argc, argv);
   CliArgs args(argc, argv);
-  const auto procs = static_cast<ProcId>(args.get_int("at-procs", 8));
+  const auto procs = args.get_count<ProcId>("at-procs", 8);
   std::vector<double> ccrs =
       args.get_double_list("ccr", {0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0});
 

@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
   using namespace flb::bench;
   Config cfg = parse_config(argc, argv);
   CliArgs args(argc, argv);
-  const auto procs = static_cast<ProcId>(args.get_int("at-procs", 8));
+  const auto procs = args.get_count<ProcId>("at-procs", 8);
 
   std::cout << "Duplication ablation at P = " << procs << " (V ~ "
             << cfg.tasks << ", " << cfg.seeds << " seeds)\n\n";

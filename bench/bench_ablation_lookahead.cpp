@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   using namespace flb::bench;
   Config cfg = parse_config(argc, argv);
   CliArgs args(argc, argv);
-  const auto procs = static_cast<ProcId>(args.get_int("at-procs", 16));
+  const auto procs = args.get_count<ProcId>("at-procs", 16);
   cfg.workloads = {"LU", "Gauss", "Cholesky", "Laplace", "Stencil"};
 
   std::cout << "Lookahead ablation at P = " << procs << " (V ~ " << cfg.tasks

@@ -39,16 +39,9 @@ struct Config {
 inline Config parse_config(int argc, char** argv) {
   CliArgs args(argc, argv);
   Config cfg;
-  cfg.tasks = static_cast<std::size_t>(
-      args.get_int("tasks", static_cast<std::int64_t>(cfg.tasks)));
-  cfg.seeds = static_cast<std::size_t>(
-      args.get_int("seeds", static_cast<std::int64_t>(cfg.seeds)));
-  std::vector<std::int64_t> procs_default(cfg.procs.begin(), cfg.procs.end());
-  cfg.procs.clear();
-  for (std::int64_t p : args.get_int_list("procs", procs_default)) {
-    FLB_REQUIRE(p >= 1, "--procs entries must be positive");
-    cfg.procs.push_back(static_cast<ProcId>(p));
-  }
+  cfg.tasks = args.get_count("tasks", cfg.tasks);
+  cfg.seeds = args.get_count("seeds", cfg.seeds);
+  cfg.procs = args.get_count_list("procs", cfg.procs);
   cfg.ccrs = args.get_double_list("ccr", cfg.ccrs);
   cfg.csv = args.has("csv");
   return cfg;

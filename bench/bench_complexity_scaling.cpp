@@ -19,28 +19,26 @@ int main(int argc, char** argv) {
   using namespace flb;
   using namespace flb::bench;
   CliArgs args(argc, argv);
-  const std::size_t repeats =
-      static_cast<std::size_t>(args.get_int("seeds", 3));
-  std::vector<std::int64_t> sizes_default{500, 1000, 2000, 4000, 8000};
-  std::vector<std::int64_t> sizes = args.get_int_list("sizes", sizes_default);
+  const std::size_t repeats = args.get_count<std::size_t>("seeds", 3);
+  const std::vector<std::size_t> sizes = args.get_count_list<std::size_t>(
+      "sizes", {500, 1000, 2000, 4000, 8000});
 
   std::cout << "Complexity scaling in V (Stencil, CCR 1.0, P = 8, "
             << repeats << " repeats)\n\n";
   {
     std::vector<std::string> headers{"algorithm"};
-    for (std::int64_t v : sizes) headers.push_back("V~" + std::to_string(v));
+    for (std::size_t v : sizes) headers.push_back("V~" + std::to_string(v));
     headers.emplace_back("last ratio");
     Table table(headers);
     for (const std::string& algo : scheduler_names()) {
       std::vector<std::string> row{algo};
       double prev = 0.0, last_ratio = 0.0;
-      for (std::int64_t v : sizes) {
+      for (std::size_t v : sizes) {
         std::vector<double> times;
         for (std::size_t seed = 1; seed <= repeats; ++seed) {
           WorkloadParams params;
           params.seed = seed;
-          TaskGraph g =
-              make_workload("Stencil", static_cast<std::size_t>(v), params);
+          TaskGraph g = make_workload("Stencil", v, params);
           auto sched = make_scheduler(algo, seed);
           times.push_back(run_once(*sched, g, 8).millis);
         }

@@ -180,7 +180,7 @@ int main(int argc, char** argv) {
   using namespace flb::bench;
   Config cfg = parse_config(argc, argv);
   CliArgs args(argc, argv);
-  const auto procs = static_cast<ProcId>(args.get_int("at-procs", 8));
+  const auto procs = args.get_count<ProcId>("at-procs", 8);
   const auto victim = static_cast<ProcId>(args.get_int("victim", 1));
   std::vector<double> fractions =
       args.get_double_list("when", {0.1, 0.25, 0.5, 0.75});

@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
   using namespace flb::bench;
   Config cfg = parse_config(argc, argv);
   CliArgs args(argc, argv);
-  const auto procs = static_cast<ProcId>(args.get_int("at-procs", 8));
+  const auto procs = args.get_count<ProcId>("at-procs", 8);
   if (!args.has("tasks")) cfg.tasks = 400;  // V*P evaluations per pass
   if (!args.has("seeds")) cfg.seeds = 3;
 

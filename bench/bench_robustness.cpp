@@ -16,11 +16,10 @@ int main(int argc, char** argv) {
   using namespace flb::bench;
   Config cfg = parse_config(argc, argv);
   CliArgs args(argc, argv);
-  const auto procs = static_cast<ProcId>(args.get_int("at-procs", 8));
+  const auto procs = args.get_count<ProcId>("at-procs", 8);
   std::vector<double> spreads =
       args.get_double_list("spread", {0.0, 0.2, 0.5, 0.9});
-  const std::size_t trials =
-      static_cast<std::size_t>(args.get_int("trials", 5));
+  const std::size_t trials = args.get_count<std::size_t>("trials", 5);
 
   std::cout << "Runtime-variability ablation at P = " << procs << " (V ~ "
             << cfg.tasks << ", " << cfg.seeds << " seeds, " << trials

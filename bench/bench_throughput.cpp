@@ -50,16 +50,13 @@ int main(int argc, char** argv) {
   CliArgs args(argc, argv);
   const bool smoke = args.has("smoke");
   const bool csv = args.has("csv");
-  const std::size_t dags = static_cast<std::size_t>(
-      args.get_int("dags", smoke ? 12 : 64));
-  const std::size_t tasks = static_cast<std::size_t>(
-      args.get_int("tasks", smoke ? 60 : 300));
-  std::vector<std::int64_t> threads_default{1, 2, 4, 8};
-  std::vector<std::int64_t> threads =
-      args.get_int_list("threads", threads_default);
-  std::vector<std::int64_t> procs_default{8};
-  const ProcId procs = static_cast<ProcId>(
-      args.get_int_list("procs", procs_default).front());
+  const std::size_t dags =
+      args.get_count<std::size_t>("dags", smoke ? 12u : 64u);
+  const std::size_t tasks =
+      args.get_count<std::size_t>("tasks", smoke ? 60u : 300u);
+  const std::vector<std::size_t> threads =
+      args.get_count_list<std::size_t>("threads", {1, 2, 4, 8});
+  const ProcId procs = args.get_count_list<ProcId>("procs", {8}).front();
 
   // The mixed request stream: cycle through the workload families with a
   // fresh seed per request, so no two requests are the same graph.
@@ -85,10 +82,9 @@ int main(int argc, char** argv) {
   double base_wall = 0.0;
   std::uint64_t base_digest = 0;
   bool first = true;
-  for (std::int64_t tc : threads) {
-    FLB_REQUIRE(tc >= 1, "--threads entries must be positive");
+  for (std::size_t tc : threads) {
     serve::BatchOptions opts;
-    opts.num_threads = static_cast<std::size_t>(tc);
+    opts.num_threads = tc;
     // One warm-up sweep so steady-state scratch reuse (not first-touch
     // arena growth) is what gets measured.
     (void)serve::schedule_batch(requests, opts);

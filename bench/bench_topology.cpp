@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
   using namespace flb::bench;
   Config cfg = parse_config(argc, argv);
   CliArgs args(argc, argv);
-  const auto procs = static_cast<ProcId>(args.get_int("at-procs", 16));
+  const auto procs = args.get_count<ProcId>("at-procs", 16);
   FLB_REQUIRE(procs >= 4, "--at-procs must be at least 4");
 
   // A near-square mesh with exactly `procs` nodes.

@@ -14,7 +14,7 @@ int main(int argc, char** argv) {
   using namespace flb;
   using namespace flb::bench;
   CliArgs args(argc, argv);
-  const auto tasks = static_cast<std::size_t>(args.get_int("tasks", 1000));
+  const auto tasks = args.get_count<std::size_t>("tasks", 1000);
 
   std::cout << "Task-graph width: exact vs level bound vs FLB's observed "
                "peak ready-set (V ~ "

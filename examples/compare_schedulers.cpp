@@ -19,8 +19,8 @@ int main(int argc, char** argv) {
   using namespace flb;
   CliArgs args(argc, argv);
   const std::string workload = args.get("workload", "LU");
-  const auto tasks = static_cast<std::size_t>(args.get_int("tasks", 2000));
-  const auto procs = static_cast<ProcId>(args.get_int("procs", 8));
+  const auto tasks = args.get_count<std::size_t>("tasks", 2000);
+  const auto procs = args.get_count<ProcId>("procs", 8);
   WorkloadParams params;
   params.ccr = args.get_double("ccr", 1.0);
   params.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));

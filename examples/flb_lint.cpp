@@ -133,8 +133,7 @@ flb::TaskGraph load_graph(const flb::CliArgs& args) {
   if (args.has("workload")) {
     flb::WorkloadParams params;
     params.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-    const auto tasks =
-        static_cast<std::size_t>(args.get_int("tasks", 100));
+    const auto tasks = args.get_count<std::size_t>("tasks", 100);
     return flb::make_workload(args.get("workload", "LU"), tasks, params);
   }
   return flb::paper_example_graph();
@@ -168,7 +167,7 @@ int main(int argc, char** argv) {
         fail_on == "warn" ? Severity::kWarn : Severity::kError;
 
     const TaskGraph g = load_graph(args);
-    const auto procs = static_cast<ProcId>(args.get_int("procs", 2));
+    const auto procs = args.get_count<ProcId>("procs", 2);
     FLB_REQUIRE(procs >= 1, "flb_lint: --procs must be >= 1");
 
     LintOptions options;

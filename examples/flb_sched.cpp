@@ -57,7 +57,7 @@ TaskGraph load_graph(const CliArgs& args) {
   }
 
   std::string workload = args.get("workload", "LU");
-  auto tasks = static_cast<std::size_t>(args.get_int("tasks", 2000));
+  auto tasks = args.get_count<std::size_t>("tasks", 2000);
   return make_workload(workload, tasks, params);
 }
 
@@ -87,7 +87,7 @@ int run(int argc, char** argv) {
   }
 
   TaskGraph g = load_graph(args);
-  const auto procs = static_cast<ProcId>(args.get_int("procs", 8));
+  const auto procs = args.get_count<ProcId>("procs", 8);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
 
   std::cout << "graph: " << g.name() << "  V=" << g.num_tasks()

@@ -25,15 +25,11 @@
 int main(int argc, char** argv) {
   using namespace flb;
   CliArgs args(argc, argv);
-  const std::size_t dags =
-      static_cast<std::size_t>(args.get_int("dags", 24));
-  const std::size_t tasks =
-      static_cast<std::size_t>(args.get_int("tasks", 150));
-  const ProcId procs = static_cast<ProcId>(args.get_int("procs", 8));
-  const std::size_t threads =
-      static_cast<std::size_t>(args.get_int("threads", 4));
-  const std::size_t queue =
-      static_cast<std::size_t>(args.get_int("queue", 8));
+  const std::size_t dags = args.get_count<std::size_t>("dags", 24);
+  const std::size_t tasks = args.get_count<std::size_t>("tasks", 150);
+  const ProcId procs = args.get_count<ProcId>("procs", 8);
+  const std::size_t threads = args.get_count<std::size_t>("threads", 4);
+  const std::size_t queue = args.get_count<std::size_t>("queue", 8);
 
   // The request mix: every workload family, alternating the paper's two
   // CCR regimes, a fresh seed per request.

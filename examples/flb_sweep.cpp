@@ -38,10 +38,10 @@ int main(int argc, char** argv) {
   using namespace flb;
   try {
     CliArgs args(argc, argv);
-    const auto tasks = static_cast<std::size_t>(args.get_int("tasks", 1000));
-    const auto seeds = static_cast<std::size_t>(args.get_int("seeds", 3));
-    std::vector<std::int64_t> procs =
-        args.get_int_list("procs", {2, 4, 8, 16, 32});
+    const auto tasks = args.get_count<std::size_t>("tasks", 1000);
+    const auto seeds = args.get_count<std::size_t>("seeds", 3);
+    const std::vector<ProcId> procs =
+        args.get_count_list<ProcId>("procs", {2, 4, 8, 16, 32});
     std::vector<double> ccrs = args.get_double_list("ccr", {0.2, 5.0});
     std::vector<std::string> workloads =
         split_list(args.get("workloads", "LU,Laplace,Stencil"));
@@ -63,8 +63,7 @@ int main(int argc, char** argv) {
           params.ccr = ccr;
           params.seed = seed;
           TaskGraph g = make_workload(workload, tasks, params);
-          for (std::int64_t p64 : procs) {
-            auto procs_now = static_cast<ProcId>(p64);
+          for (ProcId procs_now : procs) {
             Cost mcp_len = 0.0;
             {
               auto mcp = make_scheduler("MCP", seed);

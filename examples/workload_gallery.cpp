@@ -19,7 +19,7 @@
 int main(int argc, char** argv) {
   using namespace flb;
   CliArgs args(argc, argv);
-  const auto tasks = static_cast<std::size_t>(args.get_int("tasks", 300));
+  const auto tasks = args.get_count<std::size_t>("tasks", 300);
   WorkloadParams params;
   params.ccr = args.get_double("ccr", 1.0);
   params.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));

@@ -1,5 +1,6 @@
 #include "flb/util/cli.hpp"
 
+#include <cerrno>
 #include <cstdlib>
 #include <sstream>
 
@@ -11,6 +12,21 @@ namespace {
 
 bool looks_like_option(const std::string& s) {
   return s.size() > 2 && s[0] == '-' && s[1] == '-';
+}
+
+// One base-10 integer of `--name`. strtoll saturates on overflow, so ERANGE
+// is checked explicitly rather than letting the clamped value through.
+std::int64_t parse_int(const std::string& name, const std::string& text,
+                       const char* expects) {
+  char* end = nullptr;
+  errno = 0;
+  const std::int64_t v = std::strtoll(text.c_str(), &end, 10);
+  FLB_REQUIRE(end && *end == '\0' && !text.empty(),
+              "--" + name + " expects " + expects + ", got '" + text + "'");
+  FLB_REQUIRE(errno != ERANGE, "--" + name +
+                                   " is outside the 64-bit integer range, "
+                                   "got '" + text + "'");
+  return v;
 }
 
 }  // namespace
@@ -53,11 +69,14 @@ std::int64_t CliArgs::get_int(const std::string& name,
                               std::int64_t fallback) const {
   auto it = options_.find(name);
   if (it == options_.end()) return fallback;
-  char* end = nullptr;
-  std::int64_t v = std::strtoll(it->second.c_str(), &end, 10);
-  FLB_REQUIRE(end && *end == '\0' && !it->second.empty(),
-              "--" + name + " expects an integer, got '" + it->second + "'");
-  return v;
+  return parse_int(name, it->second, "an integer");
+}
+
+void CliArgs::require_count(const std::string& name, std::int64_t value,
+                            std::int64_t max) {
+  FLB_REQUIRE(value >= 1 && value <= max,
+              "--" + name + " must be between 1 and " + std::to_string(max) +
+                  ", got " + std::to_string(value));
 }
 
 double CliArgs::get_double(const std::string& name, double fallback) const {
@@ -77,13 +96,8 @@ std::vector<std::int64_t> CliArgs::get_int_list(
   std::vector<std::int64_t> out;
   std::stringstream ss(it->second);
   std::string item;
-  while (std::getline(ss, item, ',')) {
-    char* end = nullptr;
-    std::int64_t v = std::strtoll(item.c_str(), &end, 10);
-    FLB_REQUIRE(end && *end == '\0' && !item.empty(),
-                "--" + name + " expects integers, got '" + item + "'");
-    out.push_back(v);
-  }
+  while (std::getline(ss, item, ','))
+    out.push_back(parse_int(name, item, "integers"));
   FLB_REQUIRE(!out.empty(), "--" + name + " expects a non-empty list");
   return out;
 }

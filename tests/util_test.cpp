@@ -1,4 +1,6 @@
+#include <cstdint>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -7,6 +9,7 @@
 #include "flb/util/error.hpp"
 #include "flb/util/stopwatch.hpp"
 #include "flb/util/table.hpp"
+#include "flb/util/types.hpp"
 
 namespace flb {
 namespace {
@@ -148,6 +151,85 @@ TEST(Cli, RejectsNonNumeric) {
 TEST(Cli, RejectsMalformedList) {
   auto args = parse({"prog", "--procs", "2,x,8"});
   EXPECT_THROW((void)args.get_int_list("procs", {}), Error);
+}
+
+// Count flags (--procs, --tasks, ...) reject what would otherwise crash,
+// hang or wrap: negatives, zero, values past the target type and values
+// past the 64-bit range. Every error names the flag and the value.
+TEST(Cli, CountFlagsRejectOutOfRangeValues) {
+  struct Case {
+    const char* flag;
+    const char* value;
+    bool proc_id;            // parse as ProcId, else as std::size_t
+    std::uint64_t expected;  // accepted value; unused when `error` is set
+    const char* error;       // expected message fragment, or nullptr
+  };
+  const Case kCases[] = {
+      {"procs", "8", true, 8, nullptr},
+      {"procs", "4294967295", true, 4294967295u, nullptr},
+      {"procs", "-1", true, 0,
+       "--procs must be between 1 and 4294967295, got -1"},
+      {"procs", "0", true, 0,
+       "--procs must be between 1 and 4294967295, got 0"},
+      {"procs", "4294967297", true, 0,
+       "--procs must be between 1 and 4294967295, got 4294967297"},
+      {"procs", "99999999999999999999", true, 0,
+       "--procs is outside the 64-bit integer range, got "
+       "'99999999999999999999'"},
+      {"at-procs", "-8", true, 0,
+       "--at-procs must be between 1 and 4294967295, got -8"},
+      {"tasks", "2000", false, 2000, nullptr},
+      {"tasks", "-5", false, 0,
+       "--tasks must be between 1 and 9223372036854775807, got -5"},
+      {"threads", "0", false, 0,
+       "--threads must be between 1 and 9223372036854775807, got 0"},
+      {"seeds", "-99999999999999999999", false, 0,
+       "--seeds is outside the 64-bit integer range"},
+      {"queue", "4x", false, 0, "--queue expects an integer, got '4x'"},
+  };
+  for (const Case& c : kCases) {
+    const std::string flag = std::string("--") + c.flag;
+    auto args = parse({"prog", flag.c_str(), c.value});
+    auto get = [&]() -> std::uint64_t {
+      if (c.proc_id) return args.get_count<ProcId>(c.flag, 1);
+      return args.get_count<std::size_t>(c.flag, 1);
+    };
+    if (c.error == nullptr) {
+      EXPECT_EQ(get(), c.expected) << flag << " " << c.value;
+      continue;
+    }
+    try {
+      (void)get();
+      ADD_FAILURE() << flag << " " << c.value << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(c.error), std::string::npos)
+          << flag << " " << c.value << ": " << e.what();
+    }
+  }
+}
+
+TEST(Cli, CountFlagFallbackAndLists) {
+  auto absent = parse({"prog"});
+  EXPECT_EQ(absent.get_count<ProcId>("procs", 8), 8u);
+  EXPECT_EQ(absent.get_count_list<ProcId>("procs", {2, 4}),
+            (std::vector<ProcId>{2, 4}));
+  auto list = parse({"prog", "--procs", "2,8,32"});
+  EXPECT_EQ(list.get_count_list<ProcId>("procs", {}),
+            (std::vector<ProcId>{2, 8, 32}));
+  auto zero = parse({"prog", "--procs", "2,0,8"});
+  EXPECT_THROW((void)zero.get_count_list<ProcId>("procs", {}), Error);
+  auto wrap = parse({"prog", "--threads", "1,-4"});
+  EXPECT_THROW((void)wrap.get_count_list<std::size_t>("threads", {}), Error);
+}
+
+TEST(Cli, IntAccessorsRejectOverflow) {
+  auto args = parse({"prog", "--seed", "99999999999999999999", "--sizes",
+                     "100,99999999999999999999"});
+  EXPECT_THROW((void)args.get_int("seed", 1), Error);
+  EXPECT_THROW((void)args.get_int_list("sizes", {}), Error);
+  // In range, a negative --seed still parses: --seed keeps its behaviour.
+  auto seed = parse({"prog", "--seed", "-3"});
+  EXPECT_EQ(seed.get_int("seed", 1), -3);
 }
 
 // --- Stopwatch ---------------------------------------------------------------
