@@ -431,23 +431,6 @@ Schedule FlbScheduler::run_instrumented(const TaskGraph& g, ProcId num_procs,
 }
 
 Schedule FlbScheduler::resume(const TaskGraph& g, const Schedule& prefix,
-                              const std::vector<bool>& alive,
-                              Cost release_time) {
-  FLB_REQUIRE(prefix.num_tasks() == g.num_tasks(),
-              "FLB resume: prefix was sized for a different graph");
-  FLB_REQUIRE(alive.size() == prefix.num_procs(),
-              "FLB resume: alive mask must cover every processor");
-  FLB_REQUIRE(std::find(alive.begin(), alive.end(), true) != alive.end(),
-              "FLB resume: at least one surviving processor required");
-  FLB_REQUIRE(release_time >= 0.0,
-              "FLB resume: release time must be non-negative");
-  Schedule out = prefix;
-  Engine engine(g, out, scratch_, alive, release_time, options_);
-  engine.run(nullptr, nullptr);
-  return out;
-}
-
-Schedule FlbScheduler::resume(const TaskGraph& g, const Schedule& prefix,
                               const FlbResumeContext& ctx) {
   FLB_REQUIRE(prefix.num_tasks() == g.num_tasks(),
               "FLB resume: prefix was sized for a different graph");

@@ -465,8 +465,9 @@ TEST(Repair, ResumeFromEmptyPrefixMatchesRun) {
     TaskGraph g = test::fuzz_graph(i);
     FlbScheduler flb;
     Schedule fresh = flb.run(g, 3);
-    Schedule resumed =
-        flb.resume(g, Schedule(3, g.num_tasks()), {true, true, true});
+    FlbResumeContext ctx;
+    ctx.alive = {true, true, true};
+    Schedule resumed = flb.resume(g, Schedule(3, g.num_tasks()), ctx);
     for (TaskId t = 0; t < g.num_tasks(); ++t) {
       ASSERT_EQ(fresh.proc(t), resumed.proc(t)) << g.name();
       ASSERT_DOUBLE_EQ(fresh.start(t), resumed.start(t)) << g.name();
