@@ -13,6 +13,7 @@
 #include "flb/graph/properties.hpp"
 #include "flb/runtime/failure_detector.hpp"
 #include "flb/sched/export.hpp"
+#include "flb/util/digest.hpp"
 #include "flb/util/table.hpp"
 
 namespace flb::analysis {
@@ -959,13 +960,13 @@ void result_consistency_rule(const FaultPlan& world,
     d.hint = hint;
   };
   const std::uint64_t event_digest =
-      runtime::fnv1a_digest(runtime::event_log_text(result.events));
+      fnv1a_digest(runtime::event_log_text(result.events));
   if (event_digest != result.event_digest)
     bad("the recomputed event-log digest disagrees with the recorded one",
         "RuntimeResult::event_digest is FNV-1a over event_log_text(events)",
         kUndefinedTime, kUndefinedTime);
   const std::uint64_t schedule_digest =
-      runtime::fnv1a_digest(to_schedule_text(result.schedule));
+      fnv1a_digest(to_schedule_text(result.schedule));
   if (schedule_digest != result.schedule_digest)
     bad("the recomputed schedule digest disagrees with the recorded one",
         "RuntimeResult::schedule_digest is FNV-1a over the final schedule "
@@ -974,7 +975,7 @@ void result_consistency_rule(const FaultPlan& world,
   const bool detector_ok = opt.use_detector && world.heartbeat.enabled();
   if (detector_ok) {
     const std::uint64_t belief_digest =
-        runtime::fnv1a_digest(runtime::belief_log_text(result.beliefs));
+        fnv1a_digest(runtime::belief_log_text(result.beliefs));
     if (belief_digest != result.belief_digest)
       bad("the recomputed belief digest disagrees with the recorded one",
           "RuntimeResult::belief_digest is FNV-1a over "

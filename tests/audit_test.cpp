@@ -23,6 +23,7 @@
 #include "flb/sched/export.hpp"
 #include "flb/sim/faults.hpp"
 #include "flb/sim/machine_sim.hpp"
+#include "flb/util/digest.hpp"
 
 namespace flb {
 namespace {
@@ -39,7 +40,6 @@ using runtime::RuntimeOptions;
 using runtime::RuntimeResult;
 using runtime::belief_log_text;
 using runtime::event_log_text;
-using runtime::fnv1a_digest;
 using runtime::run_online_recovery;
 
 TaskGraph unit_tasks(TaskId n) {
