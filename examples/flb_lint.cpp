@@ -198,8 +198,7 @@ int main(int argc, char** argv) {
                   "flb_lint: --mode must be online, detector or gossip");
       const double debounce = args.get_double("debounce", 0.0);
       FLB_REQUIRE(debounce >= 0.0, "flb_lint: --debounce must be >= 0");
-      const std::int64_t raw_quorum = args.get_int("quorum", 2);
-      FLB_REQUIRE(raw_quorum >= 1, "flb_lint: --quorum must be >= 1");
+      const auto quorum = args.get_count<ProcId>("quorum", 2);
 
       const std::string algo = args.get("algo", "FLB");
       const Schedule nominal = make_scheduler(algo)->run(g, procs);
@@ -208,7 +207,7 @@ int main(int argc, char** argv) {
       run_options.debounce = debounce;
       run_options.use_detector = mode != "online";
       run_options.use_gossip = mode == "gossip";
-      run_options.quorum = static_cast<ProcId>(raw_quorum);
+      run_options.quorum = quorum;
       FLB_REQUIRE(!run_options.use_detector || lint_faults.heartbeat.enabled(),
                   "flb_lint: --mode " + mode +
                       " needs a heartbeat directive in the fault plan");
@@ -229,15 +228,9 @@ int main(int argc, char** argv) {
       const double fraction = args.get_double("repair-at", 0.4);
       FLB_REQUIRE(fraction >= 0.0 && fraction <= 1.0,
                   "flb_lint: --repair-at must be a fraction in [0, 1]");
-      const std::int64_t raw_victim = args.get_int("victim", 1);
-      FLB_REQUIRE(raw_victim >= 0 && raw_victim < static_cast<std::int64_t>(procs),
-                  "flb_lint: --victim " + std::to_string(raw_victim) +
-                      " is not a valid processor id; with --procs " +
-                      std::to_string(procs) +
-                      " the valid range is 0.." + std::to_string(procs - 1));
-      const auto victim = static_cast<ProcId>(raw_victim);
       FLB_REQUIRE(procs >= 2,
                   "flb_lint: --repair-at needs at least 2 processors");
+      const auto victim = args.get_index<ProcId>("victim", 1, procs);
       FLB_REQUIRE(!args.has("schedule"),
                   "flb_lint: --repair-at repairs a registry schedule; it "
                   "cannot be combined with --schedule");

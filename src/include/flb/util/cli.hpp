@@ -42,6 +42,19 @@ class CliArgs {
     return checked_count<T>(name, get_int(name, 0));
   }
 
+  /// An index flag (`--victim`, ...) as the unsigned type T, or `fallback`
+  /// when absent. Throws unless 0 <= value < limit, naming the flag and
+  /// the value, e.g. "--victim must be between 0 and 3, got 4294967297".
+  template <typename T>
+  [[nodiscard]] T get_index(const std::string& name, T fallback,
+                            T limit) const {
+    static_assert(std::is_unsigned_v<T>, "indices are unsigned");
+    if (!has(name)) return fallback;
+    const std::int64_t value = get_int(name, 0);
+    require_index(name, value, limit);
+    return static_cast<T>(value);
+  }
+
   /// Double value of `--name`, or `fallback` when absent.
   [[nodiscard]] double get_double(const std::string& name,
                                   double fallback) const;
@@ -78,6 +91,9 @@ class CliArgs {
   // Throws unless 1 <= value <= max; the error names `--name` and value.
   static void require_count(const std::string& name, std::int64_t value,
                             std::int64_t max);
+  // Throws unless 0 <= value < limit; the error names `--name` and value.
+  static void require_index(const std::string& name, std::int64_t value,
+                            std::uint64_t limit);
 
   template <typename T>
   static T checked_count(const std::string& name, std::int64_t value) {

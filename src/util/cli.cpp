@@ -79,6 +79,16 @@ void CliArgs::require_count(const std::string& name, std::int64_t value,
                   ", got " + std::to_string(value));
 }
 
+void CliArgs::require_index(const std::string& name, std::int64_t value,
+                            std::uint64_t limit) {
+  FLB_REQUIRE(limit > 0, "--" + name + " has no valid value, got " +
+                             std::to_string(value));
+  FLB_REQUIRE(value >= 0 && static_cast<std::uint64_t>(value) < limit,
+              "--" + name + " must be between 0 and " +
+                  std::to_string(limit - 1) + ", got " +
+                  std::to_string(value));
+}
+
 double CliArgs::get_double(const std::string& name, double fallback) const {
   auto it = options_.find(name);
   if (it == options_.end()) return fallback;
