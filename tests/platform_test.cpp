@@ -217,6 +217,227 @@ TEST(PlatformGolden, PaperScaleFlbStats) {
   }
 }
 
+// FLB on unit weights (comp = 1, comm = CCR exactly) at V~500, every
+// workload family x CCR {0, 1, 5} x P {1, 3, 8, 32}. Equal arrivals are
+// common here, so the EP and EMT tie branches of classification run on
+// nearly every ready task. A wrong EMT after an EP switch leaves every
+// CCR 0 and CCR 1 row unchanged but moves several CCR 5 rows, so the
+// CCR 5 rows are the ones that pin the EMT arithmetic. Cholesky's
+// edges do not all run from lower to higher ids, so it also pins the
+// bottom levels of a graph whose ids are not a topological order. Each
+// row pins the makespan bits, the placement digest and the engine's
+// counters. Captured before classification moved to one predecessor scan.
+struct FlbCounts {
+  std::size_t classified_ep;
+  std::size_t ep_demotions;
+  std::size_t ep_selections;
+  std::size_t non_ep_selections;
+  std::size_t max_ready;
+};
+
+struct UnitWeightFlbGolden {
+  const char* family;
+  double ccr;
+  ProcId procs;
+  double makespan;
+  std::uint64_t digest;
+  FlbCounts stats;
+};
+
+TEST(PlatformGolden, UnitWeightFlbBitIdentical) {
+  static const UnitWeightFlbGolden kTable[] = {
+      {"LU", 0.0, 1, 0x1.efp+8, 12312857458376156685ull,
+       {494, 464, 30, 465, 30}},
+      {"LU", 0.0, 3, 0x1.62p+7, 7441972847679676319ull,
+       {494, 461, 33, 462, 30}},
+      {"LU", 0.0, 8, 0x1.48p+6, 6829335468326876318ull,
+       {494, 451, 43, 452, 30}},
+      {"LU", 0.0, 32, 0x1.ep+5, 8832609548652450230ull,
+       {494, 435, 59, 436, 30}},
+      {"LU", 1.0, 1, 0x1.efp+8, 12312857458376156685ull,
+       {494, 434, 60, 435, 30}},
+      {"LU", 1.0, 3, 0x1.8ap+7, 12671544204236554654ull,
+       {494, 431, 63, 432, 30}},
+      {"LU", 1.0, 8, 0x1.b4p+6, 13499184777522396390ull,
+       {494, 421, 73, 422, 30}},
+      {"LU", 1.0, 32, 0x1.64p+6, 15367169095397505141ull,
+       {494, 406, 88, 407, 30}},
+      {"LU", 5.0, 1, 0x1.efp+8, 12312857458376156685ull,
+       {494, 324, 170, 325, 30}},
+      {"LU", 5.0, 3, 0x1.09p+8, 262146965583239904ull,
+       {494, 317, 177, 318, 30}},
+      {"LU", 5.0, 8, 0x1.74p+7, 1641507650168597826ull,
+       {494, 265, 229, 266, 30}},
+      {"LU", 5.0, 32, 0x1.14p+7, 6980927537867552006ull,
+       {494, 193, 301, 194, 30}},
+      {"Laplace", 0.0, 1, 0x1.f4p+8, 11282725667298539028ull,
+       {451, 432, 19, 481, 49}},
+      {"Laplace", 0.0, 3, 0x1.68p+7, 10083656975882354073ull,
+       {451, 432, 19, 481, 49}},
+      {"Laplace", 0.0, 8, 0x1.4p+6, 14443202048719912995ull,
+       {451, 432, 19, 481, 49}},
+      {"Laplace", 0.0, 32, 0x1.ep+4, 17788563541735881638ull,
+       {451, 432, 19, 481, 49}},
+      {"Laplace", 1.0, 1, 0x1.f4p+8, 11282725667298539028ull,
+       {451, 423, 28, 472, 49}},
+      {"Laplace", 1.0, 3, 0x1.7ap+7, 7069904048196434516ull,
+       {451, 423, 28, 472, 49}},
+      {"Laplace", 1.0, 8, 0x1.64p+6, 11066981106820789661ull,
+       {451, 423, 28, 472, 49}},
+      {"Laplace", 1.0, 32, 0x1.88p+5, 18445036415252612721ull,
+       {451, 423, 28, 472, 49}},
+      {"Laplace", 5.0, 1, 0x1.f4p+8, 11282725667298539028ull,
+       {451, 387, 64, 436, 49}},
+      {"Laplace", 5.0, 3, 0x1p+8, 1536866762324670459ull,
+       {451, 387, 64, 436, 49}},
+      {"Laplace", 5.0, 8, 0x1.4ap+7, 17093012111656788162ull,
+       {451, 387, 64, 436, 49}},
+      {"Laplace", 5.0, 32, 0x1.f4p+6, 17303198257708024463ull,
+       {451, 387, 64, 436, 49}},
+      {"Stencil", 0.0, 1, 0x1.fap+8, 11328342769082332852ull,
+       {484, 484, 0, 506, 22}},
+      {"Stencil", 0.0, 3, 0x1.52p+7, 9327129125597526131ull,
+       {484, 484, 0, 506, 22}},
+      {"Stencil", 0.0, 8, 0x1p+6, 17738958599169588642ull,
+       {484, 484, 0, 506, 22}},
+      {"Stencil", 0.0, 32, 0x1.7p+4, 12802110043265665143ull,
+       {484, 22, 462, 44, 22}},
+      {"Stencil", 1.0, 1, 0x1.fap+8, 11328342769082332852ull,
+       {484, 484, 0, 506, 22}},
+      {"Stencil", 1.0, 3, 0x1.52p+7, 9327129125597526131ull,
+       {484, 484, 0, 506, 22}},
+      {"Stencil", 1.0, 8, 0x1p+6, 17738958599169588642ull,
+       {484, 484, 0, 506, 22}},
+      {"Stencil", 1.0, 32, 0x1.68p+5, 9795690572219932671ull,
+       {484, 22, 462, 44, 22}},
+      {"Stencil", 5.0, 1, 0x1.fap+8, 11328342769082332852ull,
+       {484, 484, 0, 506, 22}},
+      {"Stencil", 5.0, 3, 0x1.52p+7, 9327129125597526131ull,
+       {484, 484, 0, 506, 22}},
+      {"Stencil", 5.0, 8, 0x1.14p+7, 3780513474266688605ull,
+       {484, 339, 145, 361, 22}},
+      {"Stencil", 5.0, 32, 0x1.0ap+7, 12574410157290861135ull,
+       {484, 22, 462, 44, 22}},
+      {"FFT", 0.0, 1, 0x1.cp+8, 13465421519134943631ull,
+       {384, 384, 0, 448, 64}},
+      {"FFT", 0.0, 3, 0x1.2cp+7, 3034190279197835166ull,
+       {384, 384, 0, 448, 64}},
+      {"FFT", 0.0, 8, 0x1.cp+5, 17049768800457299171ull,
+       {384, 384, 0, 448, 64}},
+      {"FFT", 0.0, 32, 0x1.cp+3, 17811009642019831555ull,
+       {384, 383, 1, 447, 64}},
+      {"FFT", 1.0, 1, 0x1.cp+8, 13465421519134943631ull,
+       {384, 384, 0, 448, 64}},
+      {"FFT", 1.0, 3, 0x1.2cp+7, 3034190279197835166ull,
+       {384, 384, 0, 448, 64}},
+      {"FFT", 1.0, 8, 0x1.cp+5, 17049768800457299171ull,
+       {384, 384, 0, 448, 64}},
+      {"FFT", 1.0, 32, 0x1.cp+3, 12784793412954760963ull,
+       {384, 0, 384, 64, 64}},
+      {"FFT", 5.0, 1, 0x1.cp+8, 13465421519134943631ull,
+       {384, 384, 0, 448, 64}},
+      {"FFT", 5.0, 3, 0x1.2cp+7, 3034190279197835166ull,
+       {384, 384, 0, 448, 64}},
+      {"FFT", 5.0, 8, 0x1.cp+5, 11093789509493596371ull,
+       {384, 349, 35, 413, 64}},
+      {"FFT", 5.0, 32, 0x1.1p+5, 3947229843180532483ull,
+       {384, 0, 384, 64, 64}},
+      {"Gauss", 0.0, 1, 0x1.efp+8, 12312857458376156685ull,
+       {494, 435, 59, 436, 30}},
+      {"Gauss", 0.0, 3, 0x1.86p+7, 11506799744817553563ull,
+       {494, 435, 59, 436, 30}},
+      {"Gauss", 0.0, 8, 0x1.98p+6, 11023563420681420562ull,
+       {494, 435, 59, 436, 30}},
+      {"Gauss", 0.0, 32, 0x1.ep+5, 8832609548652450230ull,
+       {494, 435, 59, 436, 30}},
+      {"Gauss", 1.0, 1, 0x1.efp+8, 12312857458376156685ull,
+       {494, 406, 88, 407, 30}},
+      {"Gauss", 1.0, 3, 0x1.d4p+7, 16175085181207558353ull,
+       {494, 406, 88, 407, 30}},
+      {"Gauss", 1.0, 8, 0x1.32p+7, 5108307327496604156ull,
+       {494, 406, 88, 407, 30}},
+      {"Gauss", 1.0, 32, 0x1.d4p+6, 2558439151103469256ull,
+       {494, 406, 88, 407, 30}},
+      {"Gauss", 5.0, 1, 0x1.efp+8, 12312857458376156685ull,
+       {494, 300, 194, 301, 30}},
+      {"Gauss", 5.0, 3, 0x1.8fp+8, 9156100592973583116ull,
+       {494, 300, 194, 301, 30}},
+      {"Gauss", 5.0, 8, 0x1.53p+8, 18039613612259219136ull,
+       {494, 300, 194, 301, 30}},
+      {"Gauss", 5.0, 32, 0x1.3bp+8, 9217088814938771154ull,
+       {494, 300, 194, 301, 30}},
+      {"Cholesky", 0.0, 1, 0x1.c7p+8, 2051651314039561471ull,
+       {454, 440, 14, 441, 78}},
+      {"Cholesky", 0.0, 3, 0x1.3cp+7, 14029078849622675421ull,
+       {454, 441, 13, 442, 78}},
+      {"Cholesky", 0.0, 8, 0x1.0cp+6, 3787029368632398789ull,
+       {454, 424, 30, 425, 78}},
+      {"Cholesky", 0.0, 32, 0x1.4p+5, 13044247041850275594ull,
+       {454, 367, 87, 368, 78}},
+      {"Cholesky", 1.0, 1, 0x1.c7p+8, 2051651314039561471ull,
+       {454, 427, 27, 428, 78}},
+      {"Cholesky", 1.0, 3, 0x1.46p+7, 2876570741012449036ull,
+       {454, 423, 31, 424, 78}},
+      {"Cholesky", 1.0, 8, 0x1.2p+6, 10010230679791162313ull,
+       {454, 353, 101, 354, 78}},
+      {"Cholesky", 1.0, 32, 0x1.ep+5, 13333521354817268902ull,
+       {454, 297, 157, 298, 78}},
+      {"Cholesky", 5.0, 1, 0x1.c7p+8, 2051651314039561471ull,
+       {454, 373, 81, 374, 78}},
+      {"Cholesky", 5.0, 3, 0x1.8p+7, 8149241949244623937ull,
+       {454, 324, 130, 325, 78}},
+      {"Cholesky", 5.0, 8, 0x1.18p+7, 4509501957480443159ull,
+       {454, 226, 228, 227, 78}},
+      {"Cholesky", 5.0, 32, 0x1.0cp+7, 4681200006627134775ull,
+       {454, 196, 258, 197, 78}},
+      {"Random", 0.0, 1, 0x1.fp+8, 15029701234033241972ull,
+       {480, 480, 0, 496, 16}},
+      {"Random", 0.0, 3, 0x1.4cp+7, 16143215719803529784ull,
+       {480, 480, 0, 496, 16}},
+      {"Random", 0.0, 8, 0x1.fp+5, 2568724167943855059ull,
+       {480, 467, 13, 483, 16}},
+      {"Random", 0.0, 32, 0x1.fp+4, 1551291617269564702ull,
+       {480, 290, 190, 306, 16}},
+      {"Random", 1.0, 1, 0x1.fp+8, 15029701234033241972ull,
+       {480, 480, 0, 496, 16}},
+      {"Random", 1.0, 3, 0x1.4cp+7, 5541767951117398475ull,
+       {480, 470, 10, 486, 16}},
+      {"Random", 1.0, 8, 0x1.4cp+6, 10928756669410385299ull,
+       {480, 316, 164, 332, 16}},
+      {"Random", 1.0, 32, 0x1.e8p+5, 11548228976044058535ull,
+       {480, 287, 193, 303, 16}},
+      {"Random", 5.0, 1, 0x1.fp+8, 15029701234033241972ull,
+       {480, 462, 18, 478, 16}},
+      {"Random", 5.0, 3, 0x1.dp+7, 17917061436793152757ull,
+       {480, 251, 229, 267, 16}},
+      {"Random", 5.0, 8, 0x1.92p+7, 677117789544928287ull,
+       {480, 304, 176, 320, 16}},
+      {"Random", 5.0, 32, 0x1.6ap+7, 14203342900481928045ull,
+       {480, 287, 193, 303, 16}},
+  };
+  for (const UnitWeightFlbGolden& row : kTable) {
+    WorkloadParams params;
+    params.ccr = row.ccr;
+    params.random_weights = false;
+    TaskGraph g = make_workload(row.family, 500, params);
+    FlbScheduler flb;
+    FlbStats stats;
+    Schedule s = flb.run_instrumented(g, row.procs, nullptr, &stats);
+    const std::string where = std::string(row.family) +
+                              " CCR=" + std::to_string(row.ccr) +
+                              " P=" + std::to_string(row.procs);
+    EXPECT_EQ(s.makespan(), row.makespan) << where;
+    EXPECT_EQ(schedule_digest(s), row.digest) << where;
+    EXPECT_EQ(stats.iterations, g.num_tasks()) << where;
+    EXPECT_EQ(stats.tasks_classified_ep, row.stats.classified_ep) << where;
+    EXPECT_EQ(stats.ep_demotions, row.stats.ep_demotions) << where;
+    EXPECT_EQ(stats.ep_selections, row.stats.ep_selections) << where;
+    EXPECT_EQ(stats.non_ep_selections, row.stats.non_ep_selections)
+        << where;
+    EXPECT_EQ(stats.max_ready, row.stats.max_ready) << where;
+  }
+}
+
 // Baseline goldens: every comparison algorithm that keeps its ready list
 // or its processors in a heap, on the same Fig. 2 graphs (V~2000, seed 1)
 // x CCR {0.2, 5} x P {2, 8, 32}. Each baseline key ends with a task or
