@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <tuple>
 #include <utility>
 
 #include "flb/core/scratch.hpp"
@@ -32,12 +33,18 @@ using core::TaskKey;
 /// final tie-break, so schedules are bit-identical to the pre-scratch engine
 /// (the golden digests in tests/platform_test.cpp pin this).
 ///
-/// The per-step cost is heap traffic: on the Fig. 2 mix most tasks are
-/// classified EP and later demoted, about nine heap operations each, so
-/// the heaps keep each key inline next to its id (one load per comparison)
-/// and a selected processor's active-list key is updated in place by
+/// Per step, the work outside the heaps is one predecessor scan per ready
+/// task: on the clique it yields LMT, EP and EMT(·, EP) together, so the
+/// run scans each edge once, the E term of the bound. The rest is heap
+/// traffic: on the Fig. 2 mix most tasks are classified EP and later
+/// demoted, about nine heap operations each, so the heaps keep each key
+/// inline next to its id (one load per comparison). A classification
+/// re-keys EP's active-list entry only when the task becomes the head of
+/// EP's EMT list, and a selected processor's entry is updated in place by
 /// update_proc_lists. Every start is at or after PRT(p), so each
-/// Schedule::assign takes its append path.
+/// Schedule::assign takes its append path. Fresh runs take pending
+/// predecessor counts from the graph's in-degrees, and bottom levels skip
+/// the topological sort when the task ids already are one.
 class Engine {
  public:
   /// Schedule the unplaced tasks of `sched` (empty for a fresh run, a kept
@@ -165,12 +172,19 @@ class Engine {
     return model_.exec(g_, t, p, 0.0);
   }
 
+  // A fresh run has placed nothing, so every predecessor is pending;
+  // only a resumed run with a kept prefix counts the unplaced ones.
   void init_lists() {
+    const bool fresh = sched_.num_scheduled() == 0;
     for (TaskId t = 0; t < g_.num_tasks(); ++t) {
       if (sched_.is_scheduled(t)) continue;  // prefix placement, kept as-is
       std::uint32_t pending = 0;
-      for (const Adj& in : g_.predecessors(t))
-        if (!sched_.is_scheduled(in.node)) ++pending;
+      if (fresh) {
+        pending = static_cast<std::uint32_t>(g_.in_degree(t));
+      } else {
+        for (const Adj& in : g_.predecessors(t))
+          if (!sched_.is_scheduled(in.node)) ++pending;
+      }
       s_.unscheduled_preds[t] = pending;
       if (pending == 0) classify_ready(t);
     }
@@ -218,7 +232,7 @@ class Engine {
         }
       } else {
         p2 = static_cast<ProcId>(s_.all_procs.top());
-        est2 = std::max(s_.lmt[t2], prt(p2));
+        est2 = std::max(std::get<0>(s_.non_ep.top_key()), prt(p2));
       }
     }
 
@@ -268,11 +282,12 @@ class Engine {
   void update_task_lists(ProcId p) {
     const Cost ready = prt(p);
     while (!s_.lmt_ep_heap.empty(p)) {
-      TaskId t = static_cast<TaskId>(s_.lmt_ep_heap.top(p));
-      if (s_.lmt[t] >= ready) break;
+      const TaskKey key = s_.lmt_ep_heap.top_key(p);
+      if (std::get<0>(key) >= ready) break;
+      const TaskId t = std::get<2>(key);
       s_.lmt_ep_heap.pop(p);
       s_.emt_ep_heap.erase(t);
-      s_.non_ep.push(t, task_key(s_.lmt[t], t));
+      s_.non_ep.push(t, key);
       ++stats_.ep_demotions;
     }
   }
@@ -290,8 +305,7 @@ class Engine {
   }
 
   void refresh_active_priority(ProcId p) {
-    TaskId head = static_cast<TaskId>(s_.emt_ep_heap.top(p));
-    Cost est = std::max(s_.emt_ep[head], prt(p));
+    const Cost est = std::max(std::get<0>(s_.emt_ep_heap.top_key(p)), prt(p));
     s_.active_procs.push_or_update(p, {est, p});
   }
 
@@ -312,52 +326,62 @@ class Engine {
   // enabling processor is dead (resume after a failure) is likewise filed
   // non-EP keyed by LMT — starting at LMT is feasible on every processor
   // because LMT already pays full communication for all predecessors.
+  //
+  // EMT on the enabling processor counts local predecessor outputs at
+  // their finish time, matching the paper's worked example (Table 1); this
+  // never changes EST = max(EMT, PRT) — a warm local predecessor's FT is
+  // always <= PRT — but it fixes the EMT list order the paper uses.
   void classify_ready(TaskId t) {
+    ++ready_count_;
+    // One scan yields LMT, EP and, on the clique, EMT(t, EP) as
+    // max(remote, local): the latest arrival from other processors and the
+    // latest finish on EP. When EP moves to a new processor, every value
+    // seen so far is <= the old LMT, which came from the old EP and is
+    // therefore remote to the new one.
     Cost lmt = 0.0;
+    Cost remote = 0.0;
+    Cost local = 0.0;
     ProcId ep = kInvalidProc;
     for (const Adj& in : g_.predecessors(t)) {
-      Cost arrival = sched_.finish(in.node) + model_.message_cost(in.comm);
+      const Cost finish = sched_.finish(in.node);
+      const ProcId q = sched_.proc(in.node);
+      const Cost arrival = finish + model_.message_cost(in.comm);
       if (arrival > lmt || ep == kInvalidProc) {
+        if (ep != kInvalidProc && q != ep) {
+          remote = lmt;
+          local = finish;
+        } else {
+          local = std::max(local, finish);
+        }
         lmt = arrival;
-        ep = sched_.proc(in.node);
+        ep = q;
+      } else if (q == ep) {
+        local = std::max(local, finish);
+      } else {
+        remote = std::max(remote, arrival);
       }
     }
-    ++ready_count_;
-    if (ep == kInvalidProc || !model_.alive(ep)) {
-      s_.lmt[t] = lmt;
-      s_.emt_ep[t] = lmt;
-      s_.ep[t] = kInvalidProc;
-      non_ep_push(t, lmt);
+    if (ep == kInvalidProc || !model_.alive(ep) || lmt < prt(ep)) {
+      s_.non_ep.push(t, task_key(lmt, t));
       return;
     }
-    // EMT on the enabling processor, priced through the platform model's
-    // cold-aware arrival. Local predecessor outputs arrive at their finish
-    // time and still participate in the max, matching the paper's worked
-    // example (Table 1); this never changes EST = max(EMT, PRT) — a warm
-    // local predecessor's FT is always <= PRT — but it fixes the EMT list
-    // order the paper uses. In exact mode the same call prices routed hop
-    // counts, link reservations and cold-cache re-fetches (every
-    // predecessor is placed by now, so this is the task's exact ready
-    // instant on ep under the current link state).
-    Cost emt = 0.0;
-    for (const Adj& in : g_.predecessors(t))
-      emt = std::max(emt, arrival_at(in, ep));
-    s_.lmt[t] = lmt;
-    s_.emt_ep[t] = emt;
-    s_.ep[t] = ep;
-
-    if (lmt < prt(ep)) {
-      non_ep_push(t, lmt);
-    } else {
-      s_.emt_ep_heap.push(ep, t, task_key(emt, t));
-      s_.lmt_ep_heap.push(ep, t, task_key(lmt, t));
-      refresh_active_priority(ep);
-      ++stats_.tasks_classified_ep;
+    Cost emt = std::max(remote, local);
+    if (exact_mode_) {
+      // Exact pricing re-prices EMT through the platform model's
+      // cold-aware arrival: routed hop counts, link reservations and
+      // cold-cache re-fetches. Every predecessor is placed by now, so this
+      // is t's exact ready instant on EP under the current link state.
+      emt = 0.0;
+      for (const Adj& in : g_.predecessors(t))
+        emt = std::max(emt, arrival_at(in, ep));
     }
-  }
-
-  void non_ep_push(TaskId t, Cost lmt) {
-    s_.non_ep.push(t, task_key(lmt, t));
+    s_.emt_ep_heap.push(ep, t, task_key(emt, t));
+    s_.lmt_ep_heap.push(ep, t, task_key(lmt, t));
+    // EP's active-list key is max(EMT of the head, PRT(EP)), and PRT does
+    // not move during classification, so it changes only when t is the
+    // new head.
+    if (s_.emt_ep_heap.top(ep) == t) refresh_active_priority(ep);
+    ++stats_.tasks_classified_ep;
   }
 
   // Build the observer snapshot (only on instrumented runs).

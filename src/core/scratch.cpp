@@ -11,9 +11,6 @@ void Scratch::prepare(TaskId num_tasks, ProcId num_procs) {
   const std::size_t p = num_procs;
 
   tie = arena_.alloc<Cost>(v);
-  lmt = arena_.alloc<Cost>(v);
-  emt_ep = arena_.alloc<Cost>(v);
-  ep = arena_.alloc<ProcId>(v);
   unscheduled_preds = arena_.alloc<std::uint32_t>(v);
   topo_order = arena_.alloc<TaskId>(v);
   degree = arena_.alloc<std::uint32_t>(v);

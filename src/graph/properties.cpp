@@ -44,16 +44,21 @@ void bottom_levels_into(const TaskGraph& g, std::span<Cost> bl,
                         std::span<std::uint32_t> indeg) {
   const TaskId n = g.num_tasks();
   FLB_ASSERT(bl.size() == n);
-  topological_order_into(g, order, indeg);
   // Same arithmetic as bottom_levels_impl(with_comm=true), so results are
-  // bit-identical to the vector flavour.
-  for (std::size_t i = n; i-- > 0;) {
-    TaskId t = order[i];
+  // bit-identical to the vector flavour: BL(t) reads only its successors'
+  // final values, so any reverse topological sweep gives the same bits.
+  auto sweep = [&](TaskId t) {
     Cost best = 0.0;
     for (const Adj& a : g.successors(t))
       best = std::max(best, bl[a.node] + a.comm);
     bl[t] = g.comp(t) + best;
+  };
+  if (g.ids_topological()) {
+    for (TaskId t = n; t-- > 0;) sweep(t);
+    return;
   }
+  topological_order_into(g, order, indeg);
+  for (std::size_t i = n; i-- > 0;) sweep(order[i]);
 }
 
 namespace {

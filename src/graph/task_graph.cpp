@@ -97,6 +97,7 @@ TaskGraph TaskGraphBuilder::build() && {
     ++g.succ_off_[e.from + 1];
     ++g.pred_off_[e.to + 1];
     g.total_comm_ += e.comm;
+    if (e.from > e.to) g.ids_topological_ = false;
   }
   for (std::size_t i = 0; i < n; ++i) {
     g.succ_off_[i + 1] += g.succ_off_[i];

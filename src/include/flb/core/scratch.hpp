@@ -13,12 +13,16 @@
 /// Reusable, arena-backed scratch state for the FLB scheduling engine —
 /// the "scheduling as a service" refactor's core layer.
 ///
-/// One FLB run needs O(V + P) working state: the SoA ready-task arrays
-/// (tie priority, LMT, EMT, enabling processor, unscheduled-predecessor
-/// counts), five indexed heaps, and two temporaries for the bottom-level
-/// sweep. Before this refactor the engine rebuilt all of it with fresh
-/// `std::vector`s on every `schedule()` call, so per-run allocation — not
-/// the O(log W + log P) step — dominated wall time at serving volume
+/// One FLB run needs O(V + P) working state: two SoA arrays indexed by
+/// task (tie priority and unscheduled-predecessor count), five indexed
+/// heaps, and two temporaries for the topological sort that the
+/// bottom-level sweep needs when task ids are not one. A ready task's
+/// LMT and EMT are not stored beside it: each lives as the primary of the
+/// task's key in the heap that orders by it (`lmt_ep_heap` or `non_ep`,
+/// and `emt_ep_heap`), and the engine reads it from there. Before this
+/// refactor the engine rebuilt all of it with fresh `std::vector`s on
+/// every `schedule()` call, so per-run allocation — not the
+/// O(log W + log P) step — dominated wall time at serving volume
 /// (visible as FLB losing to MCP in bench_complexity_scaling despite the
 /// better asymptotics).
 ///
@@ -68,10 +72,7 @@ class Scratch {
   [[nodiscard]] Arena& arena() { return arena_; }
 
   // -- SoA ready-task state (parallel arrays indexed by task id) ----------
-  std::span<Cost> tie;        ///< tie-break priority (bottom level et al.)
-  std::span<Cost> lmt;        ///< last message arrival time
-  std::span<Cost> emt_ep;     ///< EMT on the enabling processor
-  std::span<ProcId> ep;       ///< enabling processor (kInvalidProc = none)
+  std::span<Cost> tie;  ///< tie-break priority (bottom level et al.)
   std::span<std::uint32_t> unscheduled_preds;  ///< pending predecessor count
 
   // -- Temporaries for the tie-priority sweep -----------------------------

@@ -40,7 +40,8 @@ std::vector<Cost> bottom_levels(const TaskGraph& g);
 /// Allocation-free bottom_levels() writing into caller storage: `bl`,
 /// `order` and `indeg` must all have size num_tasks(). Identical arithmetic
 /// (and therefore bit-identical results) to the vector flavour. `order` and
-/// `indeg` are scratch, clobbered.
+/// `indeg` are scratch, clobbered; when g.ids_topological() holds the
+/// sweep runs over descending ids and leaves them untouched.
 void bottom_levels_into(const TaskGraph& g, std::span<Cost> bl,
                         std::span<TaskId> order,
                         std::span<std::uint32_t> indeg);

@@ -93,6 +93,11 @@ class TaskGraph {
   /// node weight (paper Section 2). Zero for edgeless or zero-comp graphs.
   [[nodiscard]] Cost ccr() const;
 
+  /// True iff every edge runs from a lower to a higher id, so ascending
+  /// ids are a topological order. Recorded by TaskGraphBuilder::build();
+  /// true for the empty graph.
+  [[nodiscard]] bool ids_topological() const { return ids_topological_; }
+
   /// Optional human-readable name (set by generators, e.g. "LU(n=62)").
   [[nodiscard]] const std::string& name() const { return name_; }
 
@@ -104,6 +109,7 @@ class TaskGraph {
   std::vector<Adj> succ_, pred_;
   Cost total_comp_ = 0.0;
   Cost total_comm_ = 0.0;
+  bool ids_topological_ = true;
   std::string name_;
 };
 

@@ -1,7 +1,11 @@
 #include "flb/graph/properties.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -91,6 +95,44 @@ TEST(BottomLevels, MonotoneAlongEdges) {
     for (const Edge& e : g.edges())
       EXPECT_GE(bl[e.from], g.comp(e.from) + e.comm + bl[e.to] - 1e-12);
   }
+}
+
+// The allocation-free flavour, bit for bit against the vector one. Ascending
+// ids are a topological order for every family but Cholesky, so both paths
+// of bottom_levels_into run: the reverse-id sweep and Kahn's sort.
+void expect_into_matches_vector(const TaskGraph& g) {
+  const std::vector<Cost> expected = bottom_levels(g);
+  std::vector<Cost> bl(g.num_tasks(), -1.0);
+  std::vector<TaskId> order(g.num_tasks());
+  std::vector<std::uint32_t> indeg(g.num_tasks());
+  bottom_levels_into(g, bl, order, indeg);
+  for (TaskId t = 0; t < g.num_tasks(); ++t)
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(bl[t]),
+              std::bit_cast<std::uint64_t>(expected[t]))
+        << g.name() << " task " << t;
+}
+
+TEST(BottomLevels, IntoMatchesVectorOnEveryFamily) {
+  for (const std::string& name : workload_names()) {
+    TaskGraph g = make_workload(name, 300);
+    EXPECT_EQ(g.ids_topological(), name != "Cholesky") << name;
+    expect_into_matches_vector(g);
+  }
+}
+
+TEST(BottomLevels, IntoMatchesVectorWithDescendingEdge) {
+  // 2 -> 1 -> 0 plus 2 -> 0: no edge runs from a lower to a higher id.
+  TaskGraphBuilder b;
+  b.add_task(1.0);
+  b.add_task(2.0);
+  b.add_task(3.0);
+  b.add_edge(1, 0, 4.0);
+  b.add_edge(2, 1, 5.0);
+  b.add_edge(2, 0, 1.0);
+  TaskGraph g = std::move(b).build();
+  ASSERT_FALSE(g.ids_topological());
+  expect_into_matches_vector(g);
+  EXPECT_DOUBLE_EQ(bottom_levels(g)[2], 3.0 + 5.0 + 2.0 + 4.0 + 1.0);
 }
 
 TEST(TopLevels, HandComputedDiamond) {

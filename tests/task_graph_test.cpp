@@ -19,6 +19,7 @@ TEST(TaskGraphBuilder, EmptyGraphBuilds) {
   EXPECT_EQ(g.num_edges(), 0u);
   EXPECT_DOUBLE_EQ(g.total_comp(), 0.0);
   EXPECT_DOUBLE_EQ(g.ccr(), 0.0);
+  EXPECT_TRUE(g.ids_topological());
 }
 
 TEST(TaskGraphBuilder, SingleTask) {
@@ -30,6 +31,28 @@ TEST(TaskGraphBuilder, SingleTask) {
   EXPECT_DOUBLE_EQ(g.comp(0), 3.5);
   EXPECT_TRUE(g.is_entry(0));
   EXPECT_TRUE(g.is_exit(0));
+  EXPECT_TRUE(g.ids_topological());
+}
+
+TEST(TaskGraphBuilder, AscendingEdgesKeepIdsTopological) {
+  TaskGraphBuilder b;
+  b.add_tasks(4, 1.0);
+  b.add_edge(0, 1, 1.0);
+  b.add_edge(0, 3, 1.0);
+  b.add_edge(2, 3, 1.0);
+  b.add_edge(1, 2, 1.0);
+  TaskGraph g = std::move(b).build();
+  EXPECT_TRUE(g.ids_topological());
+}
+
+TEST(TaskGraphBuilder, OneDescendingEdgeClearsIdsTopological) {
+  TaskGraphBuilder b;
+  b.add_tasks(4, 1.0);
+  b.add_edge(0, 1, 1.0);
+  b.add_edge(3, 2, 1.0);
+  b.add_edge(1, 3, 1.0);
+  TaskGraph g = std::move(b).build();
+  EXPECT_FALSE(g.ids_topological());
 }
 
 TEST(TaskGraphBuilder, AddTasksBulk) {
