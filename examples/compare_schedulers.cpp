@@ -1,9 +1,9 @@
 // Compare every algorithm in the library (MCP, ETF, DSC-LLB, FCP, FLB) on
 // a chosen workload: schedule length, NSL vs MCP, speedup and running time.
 //
-// Usage:
-//   compare_schedulers [--workload LU|Laplace|Stencil|FFT|Gauss|Random]
-//                      [--tasks 2000] [--procs 8] [--ccr 1.0] [--seed 1]
+// Usage (--help lists the workload names):
+//   compare_schedulers [--workload NAME] [--tasks 2000] [--procs 8]
+//                      [--ccr 1.0] [--seed 1]
 
 #include <iostream>
 
@@ -18,6 +18,14 @@
 int main(int argc, char** argv) {
   using namespace flb;
   CliArgs args(argc, argv);
+  if (args.has("help")) {
+    std::cout << "usage: compare_schedulers [--workload "
+              << joined_workload_names("|")
+              << "]\n"
+                 "                          [--tasks 2000] [--procs 8] "
+                 "[--ccr 1.0] [--seed 1]\n";
+    return 0;
+  }
   const std::string workload = args.get("workload", "LU");
   const auto tasks = args.get_count<std::size_t>("tasks", 2000);
   const auto procs = args.get_count<ProcId>("procs", 8);

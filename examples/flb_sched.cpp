@@ -74,7 +74,9 @@ int run(int argc, char** argv) {
   if (args.has("help")) {
     std::cout
         << "flb_sched: schedule a task graph on P processors\n\n"
-           "graph source:   --workload LU|Laplace|Stencil|FFT|Gauss|Random\n"
+           "graph source:   --workload "
+        << joined_workload_names("|")
+        << "\n"
            "                --tasks N  --ccr X  --seed S\n"
            "            or  --input FILE [--format flb|stg]\n"
            "scheduling:     --algo NAME|all (default all)  --procs P\n"

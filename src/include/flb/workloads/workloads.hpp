@@ -148,12 +148,15 @@ TaskGraph perturb_weights(const TaskGraph& g, double spread,
 // --- Factory used by the benchmark harness ---------------------------------
 
 /// Names accepted by make_workload: "LU", "Laplace", "Stencil", "FFT",
-/// "Gauss", "Random".
+/// "Gauss", "Cholesky", "Random".
 std::vector<std::string> workload_names();
+
+/// workload_names() joined by `separator`, for usage text and errors.
+std::string joined_workload_names(const std::string& separator);
 
 /// Build the named workload sized to approximately `target_tasks` tasks
 /// (the paper's V ~ 2000), choosing the structural parameters internally.
-/// Throws flb::Error for unknown names.
+/// Throws flb::Error for unknown names; the message lists the valid ones.
 TaskGraph make_workload(const std::string& name, std::size_t target_tasks,
                         const WorkloadParams& params = {});
 

@@ -49,6 +49,15 @@ std::vector<std::string> workload_names() {
   return {"LU", "Laplace", "Stencil", "FFT", "Gauss", "Cholesky", "Random"};
 }
 
+std::string joined_workload_names(const std::string& separator) {
+  std::string out;
+  for (const std::string& name : workload_names()) {
+    if (!out.empty()) out += separator;
+    out += name;
+  }
+  return out;
+}
+
 TaskGraph make_workload(const std::string& name, std::size_t target_tasks,
                         const WorkloadParams& params) {
   FLB_REQUIRE(target_tasks >= 8, "make_workload: target_tasks too small");
@@ -124,7 +133,8 @@ TaskGraph make_workload(const std::string& name, std::size_t target_tasks,
                static_cast<double>(target_tasks) / static_cast<double>(width))));
     return random_layered_graph(layers, width, 0.3, params);
   }
-  FLB_REQUIRE(false, "make_workload: unknown workload '" + name + "'");
+  FLB_REQUIRE(false, "make_workload: unknown workload '" + name + "' (" +
+                         joined_workload_names(" | ") + ")");
 }
 
 }  // namespace flb

@@ -447,6 +447,18 @@ TEST(Factory, RejectsUnknownName) {
   EXPECT_THROW(make_workload("NotAWorkload", 2000), Error);
 }
 
+TEST(Factory, UnknownNameErrorListsEveryFamily) {
+  try {
+    (void)make_workload("Foo", 2000);
+    FAIL() << "make_workload accepted 'Foo'";
+  } catch (const Error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("'Foo'"), std::string::npos) << msg;
+    for (const std::string& name : workload_names())
+      EXPECT_NE(msg.find(name), std::string::npos) << name << ": " << msg;
+  }
+}
+
 TEST(Factory, RejectsTinyTarget) {
   EXPECT_THROW(make_workload("LU", 2), Error);
 }
