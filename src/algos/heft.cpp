@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <tuple>
 
-#include "flb/graph/properties.hpp"
 #include "flb/util/dary_heap.hpp"
 #include "flb/util/error.hpp"
 
@@ -11,7 +10,7 @@ namespace flb {
 
 std::vector<Cost> upward_ranks(const TaskGraph& g,
                                const HeteroMachine& machine) {
-  std::vector<TaskId> order = topological_order(g);
+  const std::span<const TaskId> order = g.topological_order();
   std::vector<Cost> rank(g.num_tasks(), 0.0);
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     TaskId t = *it;
@@ -25,7 +24,7 @@ std::vector<Cost> upward_ranks(const TaskGraph& g,
 
 std::vector<Cost> upward_ranks(const TaskGraph& g,
                                const platform::CostModel& model) {
-  std::vector<TaskId> order = topological_order(g);
+  const std::span<const TaskId> order = g.topological_order();
   std::vector<Cost> rank(g.num_tasks(), 0.0);
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     TaskId t = *it;
@@ -39,7 +38,7 @@ std::vector<Cost> upward_ranks(const TaskGraph& g,
 
 std::vector<Cost> downward_ranks(const TaskGraph& g,
                                  const HeteroMachine& machine) {
-  std::vector<TaskId> order = topological_order(g);
+  const std::span<const TaskId> order = g.topological_order();
   std::vector<Cost> rank(g.num_tasks(), 0.0);
   for (TaskId t : order) {
     Cost best = 0.0;

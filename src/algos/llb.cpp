@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "flb/graph/properties.hpp"
 #include "flb/sched/tentative.hpp"
 #include "flb/util/dary_heap.hpp"
 #include "flb/util/error.hpp"
@@ -18,7 +17,7 @@ namespace {
 // messages inside one cluster are free by construction.
 std::vector<Cost> clustered_bottom_levels(const TaskGraph& g,
                                           const Clustering& clustering) {
-  std::vector<TaskId> order = topological_order(g);
+  const std::span<const TaskId> order = g.topological_order();
   std::vector<Cost> bl(g.num_tasks(), 0.0);
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     TaskId t = *it;

@@ -43,8 +43,8 @@ using core::TaskKey;
 /// EP's EMT list, and a selected processor's entry is updated in place by
 /// update_proc_lists. Every start is at or after PRT(p), so each
 /// Schedule::assign takes its append path. Fresh runs take pending
-/// predecessor counts from the graph's in-degrees, and bottom levels skip
-/// the topological sort when the task ids already are one.
+/// predecessor counts from the graph's in-degrees, and bottom levels are
+/// one reverse sweep over the graph's stored topological order.
 class Engine {
  public:
   /// Schedule the unplaced tasks of `sched` (empty for a fresh run, a kept
@@ -92,7 +92,7 @@ class Engine {
   void init_tie_priorities(const FlbOptions& opts) {
     switch (opts.tie_break) {
       case FlbTieBreak::kBottomLevel:
-        bottom_levels_into(g_, s_.tie, s_.topo_order, s_.degree);
+        bottom_levels_into(g_, s_.tie);
         break;
       case FlbTieBreak::kTaskId:
         std::fill(s_.tie.begin(), s_.tie.end(), 0.0);

@@ -12,8 +12,6 @@ void Scratch::prepare(TaskId num_tasks, ProcId num_procs) {
 
   tie = arena_.alloc<Cost>(v);
   unscheduled_preds = arena_.alloc<std::uint32_t>(v);
-  topo_order = arena_.alloc<TaskId>(v);
-  degree = arena_.alloc<std::uint32_t>(v);
 
   non_ep.bind(arena_, v);
   emt_ep_heap.reset(arena_, v, p);

@@ -7,92 +7,58 @@
 namespace flb {
 
 std::vector<TaskId> topological_order(const TaskGraph& g) {
-  const TaskId n = g.num_tasks();
-  std::vector<std::size_t> indeg(n);
-  std::vector<TaskId> order;
-  order.reserve(n);
-  for (TaskId t = 0; t < n; ++t) {
-    indeg[t] = g.in_degree(t);
-    if (indeg[t] == 0) order.push_back(t);
-  }
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    for (const Adj& a : g.successors(order[i]))
-      if (--indeg[a.node] == 0) order.push_back(a.node);
-  }
-  FLB_ASSERT(order.size() == n);
-  return order;
-}
-
-void topological_order_into(const TaskGraph& g, std::span<TaskId> order,
-                            std::span<std::uint32_t> indeg) {
-  const TaskId n = g.num_tasks();
-  FLB_ASSERT(order.size() == n && indeg.size() == n);
-  std::size_t filled = 0;
-  for (TaskId t = 0; t < n; ++t) {
-    indeg[t] = static_cast<std::uint32_t>(g.in_degree(t));
-    if (indeg[t] == 0) order[filled++] = t;
-  }
-  for (std::size_t i = 0; i < filled; ++i) {
-    for (const Adj& a : g.successors(order[i]))
-      if (--indeg[a.node] == 0) order[filled++] = a.node;
-  }
-  FLB_ASSERT(filled == n);
-}
-
-void bottom_levels_into(const TaskGraph& g, std::span<Cost> bl,
-                        std::span<TaskId> order,
-                        std::span<std::uint32_t> indeg) {
-  const TaskId n = g.num_tasks();
-  FLB_ASSERT(bl.size() == n);
-  // Same arithmetic as bottom_levels_impl(with_comm=true), so results are
-  // bit-identical to the vector flavour: BL(t) reads only its successors'
-  // final values, so any reverse topological sweep gives the same bits.
-  auto sweep = [&](TaskId t) {
-    Cost best = 0.0;
-    for (const Adj& a : g.successors(t))
-      best = std::max(best, bl[a.node] + a.comm);
-    bl[t] = g.comp(t) + best;
-  };
-  if (g.ids_topological()) {
-    for (TaskId t = n; t-- > 0;) sweep(t);
-    return;
-  }
-  topological_order_into(g, order, indeg);
-  for (std::size_t i = n; i-- > 0;) sweep(order[i]);
+  const std::span<const TaskId> order = g.topological_order();
+  return {order.begin(), order.end()};
 }
 
 namespace {
 
-// Shared implementation for the two bottom-level flavours.
-std::vector<Cost> bottom_levels_impl(const TaskGraph& g, bool with_comm) {
-  std::vector<TaskId> order = topological_order(g);
-  std::vector<Cost> bl(g.num_tasks(), 0.0);
+// The one bottom-level sweep: reverse topological order, so every
+// successor's level is final when its predecessor reads it.
+template <bool WithComm>
+void bottom_level_sweep(const TaskGraph& g, std::span<Cost> bl) {
+  FLB_ASSERT(bl.size() == g.num_tasks());
+  const std::span<const TaskId> order = g.topological_order();
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     TaskId t = *it;
     Cost best = 0.0;
     for (const Adj& a : g.successors(t)) {
-      Cost via = bl[a.node] + (with_comm ? a.comm : 0.0);
+      Cost via = bl[a.node] + (WithComm ? a.comm : 0.0);
       best = std::max(best, via);
     }
     bl[t] = g.comp(t) + best;
   }
-  return bl;
+}
+
+// The critical path: the largest bottom level of any entry task.
+Cost max_entry_level(const TaskGraph& g, const std::vector<Cost>& bl) {
+  Cost cp = 0.0;
+  for (TaskId t = 0; t < g.num_tasks(); ++t)
+    if (g.is_entry(t)) cp = std::max(cp, bl[t]);
+  return cp;
 }
 
 }  // namespace
 
+void bottom_levels_into(const TaskGraph& g, std::span<Cost> bl) {
+  bottom_level_sweep</*WithComm=*/true>(g, bl);
+}
+
 std::vector<Cost> bottom_levels(const TaskGraph& g) {
-  return bottom_levels_impl(g, /*with_comm=*/true);
+  std::vector<Cost> bl(g.num_tasks());
+  bottom_level_sweep</*WithComm=*/true>(g, bl);
+  return bl;
 }
 
 std::vector<Cost> computation_bottom_levels(const TaskGraph& g) {
-  return bottom_levels_impl(g, /*with_comm=*/false);
+  std::vector<Cost> bl(g.num_tasks());
+  bottom_level_sweep</*WithComm=*/false>(g, bl);
+  return bl;
 }
 
 std::vector<Cost> top_levels(const TaskGraph& g) {
-  std::vector<TaskId> order = topological_order(g);
   std::vector<Cost> tl(g.num_tasks(), 0.0);
-  for (TaskId t : order) {
+  for (TaskId t : g.topological_order()) {
     Cost best = 0.0;
     for (const Adj& a : g.predecessors(t))
       best = std::max(best, tl[a.node] + g.comp(a.node) + a.comm);
@@ -102,35 +68,24 @@ std::vector<Cost> top_levels(const TaskGraph& g) {
 }
 
 Cost critical_path(const TaskGraph& g) {
-  std::vector<Cost> bl = bottom_levels(g);
-  Cost cp = 0.0;
-  for (TaskId t = 0; t < g.num_tasks(); ++t)
-    if (g.is_entry(t)) cp = std::max(cp, bl[t]);
-  return cp;
+  return max_entry_level(g, bottom_levels(g));
 }
 
 Cost computation_critical_path(const TaskGraph& g) {
-  std::vector<Cost> bl = computation_bottom_levels(g);
-  Cost cp = 0.0;
-  for (TaskId t = 0; t < g.num_tasks(); ++t)
-    if (g.is_entry(t)) cp = std::max(cp, bl[t]);
-  return cp;
+  return max_entry_level(g, computation_bottom_levels(g));
 }
 
 std::vector<Cost> alap_times(const TaskGraph& g) {
   std::vector<Cost> bl = bottom_levels(g);
-  Cost cp = 0.0;
-  for (TaskId t = 0; t < g.num_tasks(); ++t)
-    if (g.is_entry(t)) cp = std::max(cp, bl[t]);
+  const Cost cp = max_entry_level(g, bl);
   std::vector<Cost> alap(g.num_tasks());
   for (TaskId t = 0; t < g.num_tasks(); ++t) alap[t] = cp - bl[t];
   return alap;
 }
 
 std::vector<std::size_t> depth_levels(const TaskGraph& g) {
-  std::vector<TaskId> order = topological_order(g);
   std::vector<std::size_t> depth(g.num_tasks(), 0);
-  for (TaskId t : order) {
+  for (TaskId t : g.topological_order()) {
     for (const Adj& a : g.predecessors(t))
       depth[t] = std::max(depth[t], depth[a.node] + 1);
   }

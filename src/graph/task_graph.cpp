@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <utility>
 
 #include "flb/util/error.hpp"
 
@@ -97,7 +98,6 @@ TaskGraph TaskGraphBuilder::build() && {
     ++g.succ_off_[e.from + 1];
     ++g.pred_off_[e.to + 1];
     g.total_comm_ += e.comm;
-    if (e.from > e.to) g.ids_topological_ = false;
   }
   for (std::size_t i = 0; i < n; ++i) {
     g.succ_off_[i + 1] += g.succ_off_[i];
@@ -112,7 +112,7 @@ TaskGraph TaskGraphBuilder::build() && {
     g.pred_[pcur[e.to]++] = {e.from, e.comm};
   }
 
-  // Acyclicity check via Kahn's algorithm.
+  // Acyclicity check via Kahn's algorithm; the graph keeps its order.
   std::vector<std::size_t> indeg(n);
   for (TaskId t = 0; t < n; ++t) indeg[t] = g.in_degree(static_cast<TaskId>(t));
   std::vector<TaskId> queue;
@@ -126,6 +126,7 @@ TaskGraph TaskGraphBuilder::build() && {
       if (--indeg[a.node] == 0) queue.push_back(a.node);
   }
   FLB_REQUIRE(seen == n, "build: the task graph contains a cycle");
+  g.topo_ = std::move(queue);
 
   return g;
 }

@@ -4,7 +4,6 @@
 #include <bit>
 #include <queue>
 
-#include "flb/graph/properties.hpp"
 #include "flb/util/error.hpp"
 
 namespace flb {
@@ -14,7 +13,7 @@ Reachability::Reachability(const TaskGraph& g)
   rows_.assign(static_cast<std::size_t>(n_) * words_, 0);
   // Reverse topological order: a task's row is the union of each successor's
   // row plus the successor itself.
-  std::vector<TaskId> order = topological_order(g);
+  const std::span<const TaskId> order = g.topological_order();
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     TaskId t = *it;
     std::uint64_t* row = rows_.data() + static_cast<std::size_t>(t) * words_;

@@ -14,9 +14,9 @@
 /// the "scheduling as a service" refactor's core layer.
 ///
 /// One FLB run needs O(V + P) working state: two SoA arrays indexed by
-/// task (tie priority and unscheduled-predecessor count), five indexed
-/// heaps, and two temporaries for the topological sort that the
-/// bottom-level sweep needs when task ids are not one. A ready task's
+/// task (tie priority and unscheduled-predecessor count) and five indexed
+/// heaps. The bottom-level sweep that fills the tie priorities walks the
+/// graph's own topological order, so it needs no workspace. A ready task's
 /// LMT and EMT are not stored beside it: each lives as the primary of the
 /// task's key in the heap that orders by it (`lmt_ep_heap` or `non_ep`,
 /// and `emt_ep_heap`), and the engine reads it from there. Before this
@@ -74,10 +74,6 @@ class Scratch {
   // -- SoA ready-task state (parallel arrays indexed by task id) ----------
   std::span<Cost> tie;  ///< tie-break priority (bottom level et al.)
   std::span<std::uint32_t> unscheduled_preds;  ///< pending predecessor count
-
-  // -- Temporaries for the tie-priority sweep -----------------------------
-  std::span<TaskId> topo_order;     ///< topological order workspace
-  std::span<std::uint32_t> degree;  ///< in-degree workspace
 
   // -- The paper's task and processor lists as indexed d-ary heaps --------
   DaryIndexedHeap<TaskKey> non_ep;          ///< non-EP ready tasks, by LMT

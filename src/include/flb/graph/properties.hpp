@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -9,8 +8,8 @@
 
 /// \file properties.hpp
 /// Static DAG properties used by the schedulers and the experiments:
-/// topological orders, top/bottom levels, critical path, ALAP (latest
-/// possible start) times and level decomposition.
+/// top/bottom levels, critical path, ALAP (latest possible start) times
+/// and level decomposition.
 ///
 /// Conventions (matching the paper and the DSC/MCP literature):
 ///  * bottom level BL(t) includes comp(t) and all edge costs on the longest
@@ -21,30 +20,25 @@
 ///  * critical path CP = max_t (TL(t) + BL(t)) — the sequential length of
 ///    the heaviest path including communication.
 ///  * ALAP(t) = CP - BL(t) — the latest possible start time, MCP's priority.
+///
+/// Every level is one sweep over TaskGraph::topological_order() (reversed
+/// for the downward levels); a task reads only its neighbours' final
+/// values, in CSR order, so the results do not depend on which
+/// topological order is swept.
 
 namespace flb {
 
-/// A topological order of the tasks (Kahn; stable: among simultaneously
-/// ready tasks, smaller ids first). Size equals num_tasks().
+/// A copy of g.topological_order(), the order the graph was built with.
+/// Code with the graph at hand should read the span instead.
 std::vector<TaskId> topological_order(const TaskGraph& g);
-
-/// Allocation-free topological_order() writing into caller storage: `order`
-/// and `indeg` must both have size num_tasks(). Same order as the vector
-/// flavour. `indeg` is scratch, clobbered.
-void topological_order_into(const TaskGraph& g, std::span<TaskId> order,
-                            std::span<std::uint32_t> indeg);
 
 /// Bottom levels (computation + communication), indexed by task id.
 std::vector<Cost> bottom_levels(const TaskGraph& g);
 
-/// Allocation-free bottom_levels() writing into caller storage: `bl`,
-/// `order` and `indeg` must all have size num_tasks(). Identical arithmetic
-/// (and therefore bit-identical results) to the vector flavour. `order` and
-/// `indeg` are scratch, clobbered; when g.ids_topological() holds the
-/// sweep runs over descending ids and leaves them untouched.
-void bottom_levels_into(const TaskGraph& g, std::span<Cost> bl,
-                        std::span<TaskId> order,
-                        std::span<std::uint32_t> indeg);
+/// Allocation-free bottom_levels() writing into caller storage: `bl` must
+/// have size num_tasks(). The vector flavour runs this same sweep, so the
+/// two are bit-identical.
+void bottom_levels_into(const TaskGraph& g, std::span<Cost> bl);
 
 /// Bottom levels counting only computation costs (edges cost zero). Used by
 /// DSC-LLB's LLB step, which orders within clusters where communication has

@@ -93,10 +93,19 @@ class TaskGraph {
   /// node weight (paper Section 2). Zero for edgeless or zero-comp graphs.
   [[nodiscard]] Cost ccr() const;
 
-  /// True iff every edge runs from a lower to a higher id, so ascending
-  /// ids are a topological order. Recorded by TaskGraphBuilder::build();
-  /// true for the empty graph.
-  [[nodiscard]] bool ids_topological() const { return ids_topological_; }
+  /// The topological order TaskGraphBuilder::build() found while checking
+  /// for cycles (FIFO Kahn), kept so that no pass over the graph sorts it
+  /// again. The exact rule: first every entry task, ascending by id; then
+  /// each remaining task at the moment its last predecessor is dequeued,
+  /// a dequeued task releasing its successors in edge-insertion order.
+  /// Among simultaneously ready tasks this is *not* "smaller id first":
+  /// entries 0 and 1 with edges 0->3 and 1->2 give 0, 1, 3, 2. The
+  /// degraded-mode repair (sched/repair.cpp) places tasks in exactly this
+  /// order, and under link-busy pricing commits routes in it, so repaired
+  /// schedules depend on it. Size equals num_tasks().
+  [[nodiscard]] std::span<const TaskId> topological_order() const {
+    return topo_;
+  }
 
   /// Optional human-readable name (set by generators, e.g. "LU(n=62)").
   [[nodiscard]] const std::string& name() const { return name_; }
@@ -109,7 +118,7 @@ class TaskGraph {
   std::vector<Adj> succ_, pred_;
   Cost total_comp_ = 0.0;
   Cost total_comm_ = 0.0;
-  bool ids_topological_ = true;
+  std::vector<TaskId> topo_;
   std::string name_;
 };
 

@@ -11,7 +11,8 @@ namespace flb {
 
 namespace {
 
-// Degraded mode: place the remaining tasks in topological order, each on
+// Degraded mode: place the remaining tasks in the graph's stored
+// topological order (TaskGraph::topological_order()), each on
 // the surviving processor that lets it start the earliest (ties toward the
 // smaller id); durations and arrivals are priced entirely through the
 // platform cost model — per-processor admission instants, cold-cache
@@ -23,7 +24,7 @@ namespace {
 void greedy_continuation(const TaskGraph& g, Schedule& s,
                          platform::CostModel& model) {
   const bool link_busy = model.mode() == platform::CommMode::kLinkBusy;
-  for (TaskId t : topological_order(g)) {
+  for (TaskId t : g.topological_order()) {
     if (s.is_scheduled(t)) continue;
     ProcId best = kInvalidProc;
     Cost best_est = kInfiniteTime;

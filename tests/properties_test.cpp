@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstdint>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -38,7 +39,11 @@ TEST(TopologicalOrder, ValidOnDiamond) {
 TEST(TopologicalOrder, ValidOnFuzzCorpus) {
   for (std::size_t i = 0; i < 20; ++i) {
     TaskGraph g = test::fuzz_graph(i);
-    expect_topological(g, topological_order(g));
+    const std::vector<TaskId> order = topological_order(g);
+    expect_topological(g, order);
+    const std::span<const TaskId> stored = g.topological_order();
+    EXPECT_TRUE(std::equal(order.begin(), order.end(), stored.begin(),
+                           stored.end()));
   }
 }
 
@@ -97,41 +102,41 @@ TEST(BottomLevels, MonotoneAlongEdges) {
   }
 }
 
-// The allocation-free flavour, bit for bit against the vector one. Ascending
-// ids are a topological order for every family but Cholesky, so both paths
-// of bottom_levels_into run: the reverse-id sweep and Kahn's sort.
-void expect_into_matches_vector(const TaskGraph& g) {
-  const std::vector<Cost> expected = bottom_levels(g);
-  std::vector<Cost> bl(g.num_tasks(), -1.0);
-  std::vector<TaskId> order(g.num_tasks());
-  std::vector<std::uint32_t> indeg(g.num_tasks());
-  bottom_levels_into(g, bl, order, indeg);
-  for (TaskId t = 0; t < g.num_tasks(); ++t)
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(bl[t]),
-              std::bit_cast<std::uint64_t>(expected[t]))
-        << g.name() << " task " << t;
+// BL(t) computed by memoised recursion over successors, independent of
+// any topological order.
+Cost reference_bottom_level(const TaskGraph& g, TaskId t,
+                            std::vector<Cost>& memo) {
+  if (memo[t] >= 0.0) return memo[t];
+  Cost best = 0.0;
+  for (const Adj& a : g.successors(t))
+    best = std::max(best, reference_bottom_level(g, a.node, memo) + a.comm);
+  return memo[t] = g.comp(t) + best;
 }
 
-TEST(BottomLevels, IntoMatchesVectorOnEveryFamily) {
-  for (const std::string& name : workload_names()) {
-    TaskGraph g = make_workload(name, 300);
-    EXPECT_EQ(g.ids_topological(), name != "Cholesky") << name;
-    expect_into_matches_vector(g);
+// Both flavours, bit for bit against the recursive reference.
+void expect_bottom_levels_match_reference(const TaskGraph& g) {
+  std::vector<Cost> memo(g.num_tasks(), -1.0);
+  const std::vector<Cost> vec = bottom_levels(g);
+  std::vector<Cost> into(g.num_tasks(), -1.0);
+  bottom_levels_into(g, into);
+  for (TaskId t = 0; t < g.num_tasks(); ++t) {
+    const auto expected =
+        std::bit_cast<std::uint64_t>(reference_bottom_level(g, t, memo));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(vec[t]), expected)
+        << g.name() << " task " << t;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(into[t]), expected)
+        << g.name() << " task " << t;
   }
 }
 
-TEST(BottomLevels, IntoMatchesVectorWithDescendingEdge) {
-  // 2 -> 1 -> 0 plus 2 -> 0: no edge runs from a lower to a higher id.
-  TaskGraphBuilder b;
-  b.add_task(1.0);
-  b.add_task(2.0);
-  b.add_task(3.0);
-  b.add_edge(1, 0, 4.0);
-  b.add_edge(2, 1, 5.0);
-  b.add_edge(2, 0, 1.0);
-  TaskGraph g = std::move(b).build();
-  ASSERT_FALSE(g.ids_topological());
-  expect_into_matches_vector(g);
+TEST(BottomLevels, MatchRecursiveReferenceOnEveryFamily) {
+  for (const std::string& name : workload_names())
+    expect_bottom_levels_match_reference(make_workload(name, 300));
+}
+
+TEST(BottomLevels, MatchRecursiveReferenceWithDescendingEdges) {
+  TaskGraph g = test::descending_graph();
+  expect_bottom_levels_match_reference(g);
   EXPECT_DOUBLE_EQ(bottom_levels(g)[2], 3.0 + 5.0 + 2.0 + 4.0 + 1.0);
 }
 

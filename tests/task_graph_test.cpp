@@ -1,16 +1,56 @@
 #include "flb/graph/task_graph.hpp"
 
+#include <queue>
+#include <span>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "flb/graph/dot.hpp"
 #include "flb/graph/serialize.hpp"
 #include "flb/util/error.hpp"
+#include "flb/workloads/paper_example.hpp"
+#include "flb/workloads/workloads.hpp"
 #include "test_support.hpp"
 
 namespace flb {
 namespace {
+
+std::vector<TaskId> order_of(const TaskGraph& g) {
+  const std::span<const TaskId> order = g.topological_order();
+  return {order.begin(), order.end()};
+}
+
+// The order TaskGraph::topological_order() promises, computed from
+// scratch: a FIFO queue seeded with the entry tasks by ascending id, each
+// dequeued task releasing its successors in CSR (insertion) order.
+std::vector<TaskId> fifo_kahn_reference(const TaskGraph& g) {
+  std::vector<std::size_t> missing(g.num_tasks(), 0);
+  for (const Edge& e : g.edges()) ++missing[e.to];
+  std::queue<TaskId> ready;
+  for (TaskId t = 0; t < g.num_tasks(); ++t)
+    if (missing[t] == 0) ready.push(t);
+  std::vector<TaskId> order;
+  while (!ready.empty()) {
+    const TaskId t = ready.front();
+    ready.pop();
+    order.push_back(t);
+    for (const Adj& a : g.successors(t))
+      if (--missing[a.node] == 0) ready.push(a.node);
+  }
+  return order;
+}
+
+void expect_fifo_kahn_order(const TaskGraph& g) {
+  const std::vector<TaskId> expected = fifo_kahn_reference(g);
+  const std::vector<TaskId> actual = order_of(g);
+  ASSERT_EQ(actual.size(), g.num_tasks()) << g.name();
+  ASSERT_EQ(expected.size(), g.num_tasks()) << g.name();
+  for (std::size_t i = 0; i < actual.size(); ++i)
+    EXPECT_EQ(actual[i], expected[i]) << g.name() << " position " << i;
+}
 
 TEST(TaskGraphBuilder, EmptyGraphBuilds) {
   TaskGraphBuilder b;
@@ -19,7 +59,7 @@ TEST(TaskGraphBuilder, EmptyGraphBuilds) {
   EXPECT_EQ(g.num_edges(), 0u);
   EXPECT_DOUBLE_EQ(g.total_comp(), 0.0);
   EXPECT_DOUBLE_EQ(g.ccr(), 0.0);
-  EXPECT_TRUE(g.ids_topological());
+  EXPECT_TRUE(g.topological_order().empty());
 }
 
 TEST(TaskGraphBuilder, SingleTask) {
@@ -31,28 +71,40 @@ TEST(TaskGraphBuilder, SingleTask) {
   EXPECT_DOUBLE_EQ(g.comp(0), 3.5);
   EXPECT_TRUE(g.is_entry(0));
   EXPECT_TRUE(g.is_exit(0));
-  EXPECT_TRUE(g.ids_topological());
+  EXPECT_EQ(order_of(g), std::vector<TaskId>{0});
 }
 
-TEST(TaskGraphBuilder, AscendingEdgesKeepIdsTopological) {
+TEST(TaskGraphBuilder, OrderReleasesSuccessorsInInsertionOrder) {
+  // 0's successors were added as 3, 1, 2. 1 still waits for 2, so 0
+  // releases 3 then 2; sorted successors would have given 0, 2, 3, 1.
   TaskGraphBuilder b;
   b.add_tasks(4, 1.0);
-  b.add_edge(0, 1, 1.0);
   b.add_edge(0, 3, 1.0);
-  b.add_edge(2, 3, 1.0);
+  b.add_edge(0, 1, 1.0);
+  b.add_edge(2, 1, 1.0);
+  b.add_edge(0, 2, 1.0);
+  TaskGraph g = std::move(b).build();
+  EXPECT_EQ(order_of(g), (std::vector<TaskId>{0, 3, 2, 1}));
+}
+
+TEST(TaskGraphBuilder, OrderIsNotSmallestReadyIdFirst) {
+  // Entries 0 and 1 with edges 0 -> 3 and 1 -> 2: 3 is released first.
+  TaskGraphBuilder b;
+  b.add_tasks(4, 1.0);
+  b.add_edge(0, 3, 1.0);
   b.add_edge(1, 2, 1.0);
   TaskGraph g = std::move(b).build();
-  EXPECT_TRUE(g.ids_topological());
+  EXPECT_EQ(order_of(g), (std::vector<TaskId>{0, 1, 3, 2}));
 }
 
-TEST(TaskGraphBuilder, OneDescendingEdgeClearsIdsTopological) {
-  TaskGraphBuilder b;
-  b.add_tasks(4, 1.0);
-  b.add_edge(0, 1, 1.0);
-  b.add_edge(3, 2, 1.0);
-  b.add_edge(1, 3, 1.0);
-  TaskGraph g = std::move(b).build();
-  EXPECT_FALSE(g.ids_topological());
+TEST(TaskGraphBuilder, OrderMatchesFifoKahnReference) {
+  for (const std::string& name : workload_names())
+    expect_fifo_kahn_order(make_workload(name, 300));
+  for (std::size_t i = 0; i < 20; ++i)
+    expect_fifo_kahn_order(test::fuzz_graph(i));
+  expect_fifo_kahn_order(paper_example_graph());
+  expect_fifo_kahn_order(test::descending_graph());
+  expect_fifo_kahn_order(TaskGraphBuilder{}.build());
 }
 
 TEST(TaskGraphBuilder, AddTasksBulk) {

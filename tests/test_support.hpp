@@ -47,6 +47,21 @@ inline TaskGraph small_diamond() {
   return std::move(b).build();
 }
 
+/// 2 -> 1 -> 0 plus 2 -> 0 (weights 1, 2, 3; edge costs 4, 5, 1): every
+/// edge runs from a higher to a lower id, so ascending ids are no
+/// topological order.
+inline TaskGraph descending_graph() {
+  TaskGraphBuilder b;
+  b.set_name("descending");
+  b.add_task(1.0);
+  b.add_task(2.0);
+  b.add_task(3.0);
+  b.add_edge(1, 0, 4.0);
+  b.add_edge(2, 1, 5.0);
+  b.add_edge(2, 0, 1.0);
+  return std::move(b).build();
+}
+
 /// Deterministic fuzzing corpus: a spread of random DAG shapes that the
 /// property tests sweep. Index selects shape and seed.
 inline TaskGraph fuzz_graph(std::size_t index) {
